@@ -47,7 +47,6 @@ func main() {
 		gc        = flag.Bool("gc", true, "collect the heap on overflow instead of failing the query")
 		gcmark    = flag.Uint64("gcwatermark", 0, "free words a collection must leave to retry (0 = heap/16)")
 		gcthresh  = flag.Uint64("gcthreshold", 0, "also collect at call boundaries once the heap tops this many words (0 = overflow-only)")
-		fuse      = flag.Bool("fuse", true, "install fused superinstruction handlers (host-side speed only; simulated counters are identical, -fuse=false is the A/B control)")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -80,9 +79,6 @@ func main() {
 	}
 	cfg.HeapWatermarkWords = uint32(*gcmark)
 	cfg.GCThresholdWords = uint32(*gcthresh)
-	if !*fuse {
-		cfg.Fusion = machine.Off
-	}
 	if *traceText {
 		cfg.Trace = os.Stderr
 	}
@@ -231,10 +227,6 @@ func printStats(sol *core.Solution, stats, cache bool, pr *trace.Profiler) {
 		fmt.Printf("neck updates      %12d\n", s.NeckUpdates)
 		fmt.Printf("determinate necks %12d\n", s.NeckDet)
 		fmt.Printf("environments      %12d\n", s.EnvAllocs)
-	}
-	if f := sol.Result.Fusion; stats && f.Runs > 0 {
-		fmt.Printf("fusion: %d handlers (%d get-runs, %d put+calls, %d det) covering %d instrs; %d dispatches, %d fused steps\n",
-			f.Runs, f.GetRuns, f.PutCalls, f.DetCalls, f.Covered, f.Dispatches, f.FusedSteps)
 	}
 	if g := sol.Result.GC; g.Collections > 0 {
 		fmt.Printf("gc: %d collections, %d words freed, %d live, %d trail entries dropped, %d cycles\n",

@@ -145,7 +145,6 @@ member(X, [_|T]) :- member(X, T).
 		},
 		PoolOptions: []engine.PoolOption{
 			engine.WithPoolSize(poolSize),
-			engine.WithConfig(machine.Config{Fusion: bench.Fusion}),
 		},
 		IdleTimeout: 30 * time.Second,
 	})
@@ -225,12 +224,7 @@ func main() {
 	hostprofile := flag.String("hostprofile", "", "print the per-opcode host-time profile of one benchmark `program` and exit")
 	predprofile := flag.String("predprofile", "", "print the per-predicate simulated-cycle profile of one benchmark `program` (or \"all\") and exit")
 	heap := flag.Uint64("heap", 0, "global stack (heap) size in `words` for -predprofile/-hostprofile runs (0 = default)")
-	fuse := flag.Bool("fuse", true, "install fused superinstruction handlers (host-side speed only; every simulated table is byte-identical with -fuse=false)")
 	flag.Parse()
-
-	if !*fuse {
-		bench.Fusion = machine.Off
-	}
 
 	fail := func(name string, err error) {
 		fmt.Fprintf(os.Stderr, "kcmbench: %s: %v\n", name, err)

@@ -65,7 +65,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7071", "listen address (use :0 for an ephemeral port)")
 		poolSize = flag.Int("pool", 0, "machines per image (0 = GOMAXPROCS)")
 		warm     = flag.Bool("warm", false, "warm each image's machines on first use (paper protocol)")
-		fuse     = flag.Bool("fuse", true, "install fused superinstruction handlers")
 		prof     = flag.Bool("profile", false, "pool-wide per-predicate cycle profiling")
 		budget   = flag.Uint64("budget", 0, "default step budget per execution slice (0 = 50M)")
 		timeout  = flag.Duration("timeout", 0, "default wall-clock bound per request slice (0 = 30s)")
@@ -101,7 +100,6 @@ func main() {
 		PoolOptions: []engine.PoolOption{
 			engine.WithPoolSize(*poolSize),
 			engine.WithWarm(*warm),
-			engine.WithFusion(*fuse),
 			engine.WithProfiling(*prof),
 		},
 		DefaultBudget:  *budget,

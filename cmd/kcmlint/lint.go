@@ -146,14 +146,10 @@ func checkSentinelCompare(fset *token.FileSet, pf parsedFile) []finding {
 	return out
 }
 
-// allocFuncs are the machine's fetch-execute loops — the per-step
-// dispatch twins and the fused-handler replay twins (fuse.go) — which
-// must stay allocation-free: an allocation there shows up in every
-// cycle of every warm benchmark.
-var allocFuncs = map[string]bool{
-	"steps": true, "stepsTraced": true,
-	"runFused": true, "runFusedTraced": true,
-}
+// allocFuncs are the machine's fetch-execute loops — the plain and
+// traced dispatch twins — which must stay allocation-free: an
+// allocation there shows up in every cycle of every warm benchmark.
+var allocFuncs = map[string]bool{"steps": true, "stepsTraced": true}
 
 // recvIsMachine reports whether the function's receiver is Machine or
 // *Machine.

@@ -90,8 +90,8 @@ func (m *Machine) steps(limit uint64) uint64 {
 	return limit
 }
 
-func (m *Machine) runFused(n int) {
-	m.xs = make([]int, n) // flagged: fused handler bodies are hot-loop code
+func (m *Machine) stepsTraced(n int) {
+	m.xs = make([]int, n) // flagged: the traced twin is hot-loop code
 }
 
 func (m *Machine) other() {
@@ -99,7 +99,7 @@ func (m *Machine) other() {
 }
 `,
 	})
-	for _, want := range []string{"append call", "address of composite literal", "go statement", "function literal", "make call in runFused"} {
+	for _, want := range []string{"append call", "address of composite literal", "go statement", "function literal", "make call in stepsTraced"} {
 		if !hasFinding(fs, want) {
 			t.Errorf("missing %q finding: %v", want, fs)
 		}

@@ -14,7 +14,6 @@ package repro
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"repro/internal/bench"
@@ -22,19 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 )
-
-// benchConfig is the machine configuration the host benchmarks run
-// with. KCM_FUSE=off disables the superinstruction fusion tier for
-// A/B control runs (scripts/hostbench.sh records both columns);
-// simulated counters are identical either way, so the pins and the
-// Klips metrics do not move.
-func benchConfig() machine.Config {
-	cfg := machine.Config{}
-	if os.Getenv("KCM_FUSE") == "off" {
-		cfg.Fusion = machine.Off
-	}
-	return cfg
-}
 
 // hostRun compiles the program once, boots one machine, warms it with
 // a full run, then times repeated warm executions. This isolates the
@@ -47,7 +33,7 @@ func hostRun(b *testing.B, p bench.Program) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := machine.New(im, benchConfig())
+	m, err := machine.New(im, machine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +54,6 @@ func hostRun(b *testing.B, p bench.Program) {
 	b.StopTimer()
 	b.ReportMetric(stats.Klips(), "simulated-Klips")
 	b.ReportMetric(float64(stats.Instrs)*float64(b.N)/float64(b.Elapsed().Nanoseconds())*1e3, "host-Mips")
-	b.ReportMetric(float64(m.FusedRuns()), "fused-handlers")
 }
 
 // BenchmarkHostNrev times the nrev inner loop (nrev1*, the paper's
@@ -109,7 +94,7 @@ func BenchmarkHostPoolNrev(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := engine.New(engine.WithConfig(benchConfig())) // GOMAXPROCS machines
+	pool := engine.New() // GOMAXPROCS machines
 	if err := pool.Warm(context.Background(), im); err != nil {
 		b.Fatal(err)
 	}
@@ -139,7 +124,7 @@ func BenchmarkHostWarmBoot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := machine.New(im, benchConfig())
+	m, err := machine.New(im, machine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,7 +154,7 @@ func BenchmarkHostWarmRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proto, err := machine.New(im, benchConfig())
+	proto, err := machine.New(im, machine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +166,7 @@ func BenchmarkHostWarmRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sibling, err := machine.New(im, benchConfig())
+	sibling, err := machine.New(im, machine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +194,7 @@ func BenchmarkHostBoot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := machine.New(im, benchConfig())
+		m, err := machine.New(im, machine.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -101,26 +101,26 @@ type cfg struct {
 	blockAt map[int]int
 }
 
-// targets returns every label of an instruction, excluding call
-// targets (checked separately: they leave the unit).
-func targets(in kcmisa.Instr) []int {
+// appendTargets appends every label of an instruction to dst,
+// excluding call targets (checked separately: they leave the unit).
+func appendTargets(dst []int, in *kcmisa.Instr) []int {
 	switch in.Op {
 	case kcmisa.Jump, kcmisa.TryMeElse, kcmisa.RetryMeElse,
 		kcmisa.Try, kcmisa.Retry, kcmisa.Trust:
-		return []int{in.L}
+		return append(dst, in.L)
 	case kcmisa.SwitchOnTerm:
 		if in.SwT == nil {
-			return nil
+			return dst
 		}
-		return []int{in.SwT.Var, in.SwT.Const, in.SwT.List, in.SwT.Struct}
+		return append(dst, in.SwT.Var, in.SwT.Const, in.SwT.List, in.SwT.Struct)
 	case kcmisa.SwitchOnConst, kcmisa.SwitchOnStruct:
-		ts := []int{in.L}
+		dst = append(dst, in.L)
 		for _, e := range in.Sw {
-			ts = append(ts, e.L)
+			dst = append(dst, e.L)
 		}
-		return ts
+		return dst
 	}
-	return nil
+	return dst
 }
 
 // checkTargets validates every intra-unit label. Flow analysis is
@@ -132,7 +132,7 @@ func (u *Unit) checkTargets() []Diag {
 			ds = append(ds, u.diag(i, BadTarget, "switch_on_term without a target table"))
 			continue
 		}
-		for _, l := range targets(in) {
+		for _, l := range appendTargets(nil, &in) {
 			if l == kcmisa.FailLabel {
 				continue
 			}
@@ -152,7 +152,7 @@ func (u *Unit) buildCFG() *cfg {
 	leader := make([]bool, n+1)
 	leader[0] = true
 	for i, in := range u.Code {
-		for _, l := range targets(in) {
+		for _, l := range appendTargets(nil, &in) {
 			if l != kcmisa.FailLabel {
 				leader[l] = true
 			}

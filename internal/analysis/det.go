@@ -25,7 +25,6 @@ type detResult struct {
 	// choice point: the shallow flag is always clear when they run.
 	deadNecks []int
 	deadArms  []DeadArm
-	reach     []bool // per-block reachability under mode pruning
 }
 
 // prunedSuccs returns a block's successor edges with switch_on_term
@@ -90,7 +89,7 @@ func prunedSuccs(u *Unit, mi *modeInfo, bi int, dead *[]DeadArm) []edge {
 // solution escapes and the predicate is semi-deterministic.
 func analyzeDet(u *Unit, mi *modeInfo) detResult {
 	g := mi.g
-	res := detResult{class: Det, reach: make([]bool, len(g.blocks))}
+	res := detResult{class: Det}
 	if len(g.blocks) == 0 {
 		return res
 	}
@@ -111,7 +110,6 @@ func analyzeDet(u *Unit, mi *modeInfo) detResult {
 	neckSeen := map[int]bool{}
 	work := []int{0}
 	visited[0] = true
-	res.reach[0] = true
 	for len(work) > 0 {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -148,7 +146,6 @@ func analyzeDet(u *Unit, mi *modeInfo) detResult {
 			changed := false
 			if !visited[e.to] {
 				visited[e.to] = true
-				res.reach[e.to] = true
 				armedIn[e.to] = out
 				changed = true
 			} else if out && !armedIn[e.to] {

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+
 	"repro/internal/kcmisa"
 	"repro/internal/term"
 	"repro/internal/word"
@@ -8,9 +10,8 @@ import (
 
 // encInstr is one decoded instruction with its code-space address.
 type encInstr struct {
-	in    kcmisa.Instr
-	addr  uint32
-	words int
+	in   kcmisa.Instr
+	addr uint32
 }
 
 // decodeAll walks an encoded code block, decoding instruction by
@@ -47,21 +48,10 @@ func decodeAll(code []word.Word, base uint32) ([]encInstr, []Diag) {
 				"%v at %d needs %d words but only %d remain", in.Op, a, n, end-a)
 			return out, ds
 		}
-		out = append(out, encInstr{in: in, addr: a, words: n})
+		out = append(out, encInstr{in: in, addr: a})
 		a += uint32(n)
 	}
 	return out, ds
-}
-
-// encTargets returns every code-address operand of a linked
-// instruction, including call targets (which are absolute addresses
-// after linking).
-func encTargets(in kcmisa.Instr) []int {
-	ts := targets(in)
-	if in.Op == kcmisa.Call || in.Op == kcmisa.Execute {
-		ts = append(ts, in.L)
-	}
-	return ts
 }
 
 // CheckEncoded is the loader-grade validation of an encoded code
@@ -71,39 +61,21 @@ func encTargets(in kcmisa.Instr) []int {
 // instruction boundary of the new block. The gap [codeTop, base) of a
 // page-rounded batch load is unmapped and therefore invalid.
 func CheckEncoded(code []word.Word, base, codeTop uint32) []Diag {
-	ins, ds := decodeAll(code, base)
-	boundary := make(map[uint32]bool, len(ins))
-	for _, ei := range ins {
-		boundary[ei.addr] = true
-	}
 	end := base + uint32(len(code))
-	u := Unit{}
-	for idx, ei := range ins {
-		u.Addr = func(int) uint32 { return ei.addr }
-		for _, t := range encTargets(ei.in) {
-			if t == kcmisa.FailLabel {
-				continue
-			}
-			a := uint32(t)
-			switch {
-			case t < 0 || a >= end:
-				ds = append(ds, u.diag(idx, BadTarget,
-					"%v at %d targets %d, outside loaded code [0,%d)",
-					ei.in.Op, ei.addr, t, end))
-			case a < codeTop:
-				// Existing code: trusted (validated when it was loaded).
-			case a < base:
-				ds = append(ds, u.diag(idx, BadTarget,
-					"%v at %d targets %d in the unmapped gap [%d,%d)",
-					ei.in.Op, ei.addr, t, codeTop, base))
-			case !boundary[a]:
-				ds = append(ds, u.diag(idx, BadTarget,
-					"%v at %d targets %d, not an instruction boundary",
-					ei.in.Op, ei.addr, t))
-			}
+	return checkBlock(code, base, func(t int, start []bool) string {
+		a := uint32(t)
+		switch {
+		case t < 0 || a >= end:
+			return fmt.Sprintf(", outside loaded code [0,%d)", end)
+		case a < codeTop:
+			// Existing code: trusted (validated when it was loaded).
+		case a < base:
+			return fmt.Sprintf(" in the unmapped gap [%d,%d)", codeTop, base)
+		case !start[a-base]:
+			return ", not an instruction boundary"
 		}
-	}
-	return ds
+		return ""
+	})
 }
 
 // CheckPatched validates a code block about to overwrite part of the
@@ -114,30 +86,91 @@ func CheckEncoded(code []word.Word, base, codeTop uint32) []Diag {
 // [0, codeTop) is trusted — the patch may legitimately branch into,
 // or be branched into from, surrounding code.
 func CheckPatched(code []word.Word, base, codeTop uint32) []Diag {
-	ins, ds := decodeAll(code, base)
-	boundary := make(map[uint32]bool, len(ins))
-	for _, ei := range ins {
-		boundary[ei.addr] = true
+	end := base + uint32(len(code))
+	return checkBlock(code, base, func(t int, start []bool) string {
+		a := uint32(t)
+		switch {
+		case t < 0 || a >= codeTop:
+			return fmt.Sprintf(", outside loaded code [0,%d)", codeTop)
+		case a >= base && a < end && !start[a-base]:
+			return ", not an instruction boundary of the patch"
+		}
+		return ""
+	})
+}
+
+// checkBlock is the walk CheckEncoded and CheckPatched share. It runs
+// on every load, so it builds no instruction list: two passes decode
+// the block into one reused Instr under decodeAll's rules, the first
+// reporting decode faults and marking instruction starts, the second
+// passing every code-address operand (call targets included) to bad,
+// which returns the tail of the diagnostic for an invalid target or
+// "". What it allocates does not grow with the number of
+// instructions.
+func checkBlock(code []word.Word, base uint32, bad func(t int, start []bool) string) []Diag {
+	fetch := func(a uint32) word.Word {
+		i := int(a) - int(base)
+		if i < 0 || i >= len(code) {
+			return 0
+		}
+		return code[i]
 	}
 	end := base + uint32(len(code))
-	u := Unit{}
-	for idx, ei := range ins {
-		u.Addr = func(int) uint32 { return ei.addr }
-		for _, t := range encTargets(ei.in) {
-			if t == kcmisa.FailLabel {
+	start := make([]bool, len(code))
+	var (
+		ds []Diag
+		in kcmisa.Instr
+		ts []int // reused across instructions
+		// DecodeInto reuses the switch-table storage it finds in its
+		// target but drops it on any other opcode, so keep it here.
+		sw  []kcmisa.SwEntry
+		swt *kcmisa.TermSwitch
+	)
+	for pass := 0; pass < 2; pass++ {
+		idx := 0
+		for a := base; a < end; {
+			if op := kcmisa.Op(fetch(a) >> 56); op >= kcmisa.NumOps {
+				if pass == 0 {
+					ds = append(ds, Diag{Index: idx, Addr: a, Check: BadOpcode,
+						Msg: fmt.Sprintf("undefined opcode %d at %d", uint8(op), a)})
+				}
+				a++
 				continue
 			}
-			a := uint32(t)
-			switch {
-			case t < 0 || a >= codeTop:
-				ds = append(ds, u.diag(idx, BadTarget,
-					"%v at %d targets %d, outside loaded code [0,%d)",
-					ei.in.Op, ei.addr, t, codeTop))
-			case a >= base && a < end && !boundary[a]:
-				ds = append(ds, u.diag(idx, BadTarget,
-					"%v at %d targets %d, not an instruction boundary of the patch",
-					ei.in.Op, ei.addr, t))
+			in.Sw, in.SwT = sw, swt
+			n := kcmisa.DecodeInto(fetch, a, &in)
+			if in.Sw != nil {
+				sw = in.Sw
 			}
+			if in.SwT != nil {
+				swt = in.SwT
+			}
+			if a+uint32(n) > end {
+				if pass == 0 {
+					ds = append(ds, Diag{Index: idx, Addr: a, Check: Truncated,
+						Msg: fmt.Sprintf("%v at %d needs %d words but only %d remain", in.Op, a, n, end-a)})
+				}
+				break
+			}
+			if pass == 0 {
+				start[a-base] = true
+			} else {
+				ts = appendTargets(ts[:0], &in)
+				if in.Op == kcmisa.Call || in.Op == kcmisa.Execute {
+					ts = append(ts, in.L)
+				}
+				for _, t := range ts {
+					if t == kcmisa.FailLabel {
+						continue
+					}
+					if msg := bad(t, start); msg != "" {
+						ds = append(ds, Diag{Index: idx, Addr: a, Check: BadTarget,
+							Msg: fmt.Sprintf("%v at %d targets %d%s", in.Op, a, t, msg)})
+					}
+				}
+			}
+			idx++
+			a += uint32(n)
 		}
 	}
 	return ds

@@ -94,6 +94,38 @@ func TestCheckEncodedAcceptsPriorCodeTargets(t *testing.T) {
 	}
 }
 
+// TestCheckEncodedAllocsFlat pins the loader check's allocation count
+// to a constant: the dynamic database re-verifies its whole code tail
+// on every tenant switch, so allocations that grow with the block
+// size (an instruction list, a boundary map) would be paid per lease.
+func TestCheckEncodedAllocsFlat(t *testing.T) {
+	const base = 100
+	block := func(words int) []word.Word {
+		var ins []kcmisa.Instr
+		for a := base; a+4 < base+words; a += 5 {
+			ins = append(ins,
+				kcmisa.Instr{Op: kcmisa.SwitchOnTerm,
+					SwT: &kcmisa.TermSwitch{Var: a + 4, Const: a, List: kcmisa.FailLabel, Struct: a + 4}},
+				kcmisa.Instr{Op: kcmisa.Proceed})
+		}
+		code := enc(t, ins...)
+		for len(code) < words {
+			code = append(code, enc(t, kcmisa.Instr{Op: kcmisa.Call, N: 1, L: 7})...)
+		}
+		return code
+	}
+	allocs := func(code []word.Word) float64 {
+		if ds := CheckEncoded(code, base, base); len(ds) != 0 {
+			t.Fatalf("%d-word block reported: %s", len(code), diagString(ds))
+		}
+		return testing.AllocsPerRun(20, func() { CheckEncoded(code, base, base) })
+	}
+	small, large := allocs(block(1000)), allocs(block(10000))
+	if small != large {
+		t.Fatalf("CheckEncoded allocs grow with the block: %v for 1k words, %v for 10k", small, large)
+	}
+}
+
 func TestVetEncodedFindsFlowError(t *testing.T) {
 	// A linked predicate whose body reads X5 before defining it: the
 	// structural loader check accepts it, the flow vet must not.

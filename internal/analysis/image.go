@@ -44,10 +44,8 @@ type PredFacts struct {
 	// analysis proved dead.
 	DeadNecks []uint32  `json:"dead_necks,omitempty"`
 	DeadArms  []DeadArm `json:"dead_arms,omitempty"`
-	Licenses  []License `json:"licenses,omitempty"`
 
-	pi   term.Indicator
-	hash uint64 // FNV-1a over the predicate's code words
+	pi term.Indicator
 }
 
 // PI returns the predicate's indicator.
@@ -124,13 +122,6 @@ func (f *ImageFacts) Flat() string {
 		}
 		for _, da := range pf.DeadArms {
 			fmt.Fprintf(&b, "  dead_arm @%d %s\n", da.Addr, da.Arm)
-		}
-		for _, lic := range pf.Licenses {
-			fmt.Fprintf(&b, "  license %s @%d instrs=%d words=%d", lic.Kind, lic.Start, lic.Instrs, lic.Words)
-			if lic.Callee != "" {
-				fmt.Fprintf(&b, " callee=%s callee_det=%v", lic.Callee, lic.CalleeDet)
-			}
-			b.WriteString("\n")
 		}
 	}
 	if len(f.SCCs) > 0 {
@@ -344,17 +335,6 @@ func (st *imageState) sccs() [][]term.Indicator {
 	return out
 }
 
-// sccOf maps every predicate to its component index.
-func sccIndex(comps [][]term.Indicator) map[term.Indicator]int {
-	out := map[term.Indicator]int{}
-	for i, comp := range comps {
-		for _, pi := range comp {
-			out[pi] = i
-		}
-	}
-	return out
-}
-
 // anyMode returns the AbsAny entry vector for a predicate's arity.
 func anyMode(arity int) []AbsVal {
 	m := make([]AbsVal, arity)
@@ -379,18 +359,17 @@ func joinModes(dst, src []AbsVal) (out []AbsVal, grew bool) {
 
 // AnalyzeImage runs the whole-image interprocedural analysis over a
 // linked image: predicate partition, call graph, the entry-mode
-// fixpoint, determinism classification, dead-code reports and fusion
-// licenses. roots names the externally callable predicates — the boot
-// table for a machine image, the query for a closed program; nil
-// defaults to every predicate without an in-image caller (library
-// mode), which leaves exactly the members of orphaned call-graph
-// cycles dead.
+// fixpoint, determinism classification and dead-code reports. roots
+// names the externally callable predicates — the boot table for a
+// machine image, the query for a closed program; nil defaults to every
+// predicate without an in-image caller (library mode), which leaves
+// exactly the members of orphaned call-graph cycles dead.
 func AnalyzeImage(code []word.Word, base uint32, entries map[term.Indicator]uint32, roots []term.Indicator) *ImageFacts {
 	st := newImageState(code, base, entries)
 	if roots == nil {
 		roots = defaultRoots(st)
 	}
-	runAnalysis(st, roots, nil, nil)
+	runAnalysis(st, roots)
 	return st.facts
 }
 
@@ -415,22 +394,14 @@ func defaultRoots(st *imageState) []term.Indicator {
 	return roots
 }
 
-// runAnalysis fills st.facts. seed, when non-nil, provides starting
-// entry modes (the incremental path); reuse, when non-nil, maps
-// predicates whose facts may be carried over unchanged — a predicate
-// is recomputed when it is enqueued by the fixpoint, and reused
-// otherwise.
-func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator][]AbsVal, reuse map[term.Indicator]*PredFacts) {
+// runAnalysis fills st.facts.
+func runAnalysis(st *imageState, roots []term.Indicator) {
 	f := st.facts
 	reach, meta := st.reachableFrom(roots)
 	comps := st.sccs()
 
 	// Entry-mode fixpoint over the reachable predicates.
 	modes := map[term.Indicator][]AbsVal{}
-	for pi, m := range seed {
-		modes[pi] = append([]AbsVal(nil), m...)
-	}
-	processed := map[term.Indicator]bool{}
 	queued := map[term.Indicator]bool{}
 	var work []term.Indicator
 	enqueue := func(pi term.Indicator) {
@@ -451,18 +422,8 @@ func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator
 		if rootSet[pi] || (meta && reach[pi]) {
 			modes[pi], _ = joinModes(modes[pi], anyMode(pi.Arity))
 		}
-		if reach[pi] && reuse == nil {
+		if reach[pi] {
 			enqueue(pi)
-		}
-	}
-	if reuse != nil {
-		// Incremental: only dirty predicates (those without a reusable
-		// fact) start on the worklist; mode growth pulls in the rest.
-		for i := range st.units {
-			pi := st.units[i].pi
-			if reach[pi] && reuse[pi] == nil {
-				enqueue(pi)
-			}
 		}
 	}
 
@@ -475,7 +436,6 @@ func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator
 		queued[pi] = false
 		ui := st.byPI[pi]
 		if ui == nil || ui.bad || len(ui.instrs) == 0 {
-			processed[pi] = true
 			continue
 		}
 		if rounds++; rounds > maxRounds {
@@ -483,7 +443,6 @@ func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator
 			// still queued to AbsAny and finish without re-queueing.
 			modes[pi], _ = joinModes(modes[pi], anyMode(pi.Arity))
 		}
-		processed[pi] = true
 		mi := analyzeModes(ui.unit(), modes[pi])
 		modeInfos[pi] = mi
 		for _, cs := range mi.calls {
@@ -503,18 +462,11 @@ func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator
 	for i := range st.units {
 		ui := &st.units[i]
 		pi := ui.pi
-		if reuse != nil && reuse[pi] != nil && !processed[pi] {
-			pf := reuse[pi]
-			pf.Reachable = reach[pi]
-			f.Preds = append(f.Preds, pf)
-			f.byPI[pi] = pf
-			continue
-		}
 		pf := &PredFacts{
 			Name: pi.String(), Start: ui.start, End: ui.end,
 			Instrs: len(ui.instrs), Reachable: reach[pi],
 			MetaCall: st.metaCall[pi],
-			pi:       pi, hash: hashRange(st, ui),
+			pi:       pi,
 		}
 		for _, c := range st.callees[pi] {
 			pf.Calls = append(pf.Calls, c.String())
@@ -553,8 +505,8 @@ func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator
 		}
 		mi := modeInfos[pi]
 		if mi == nil {
-			// Unreachable (or reused-path dirty): classify under the
-			// weakest assumption so the claim holds for any caller.
+			// Unreachable: classify under the weakest assumption so
+			// the claim holds for any caller.
 			entry := modes[pi]
 			if entry == nil {
 				entry = anyMode(pi.Arity)
@@ -568,29 +520,8 @@ func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator
 			pf.DeadNecks = append(pf.DeadNecks, u.Addr(idx))
 		}
 		pf.DeadArms = dr.deadArms
-		pf.Licenses = collectLicenses(u, mi, dr.reach)
 		f.Preds = append(f.Preds, pf)
 		f.byPI[pi] = pf
-	}
-
-	// Resolve license callee names and determinism now that every
-	// predicate is classified.
-	for _, pf := range f.Preds {
-		for i := range pf.Licenses {
-			lic := &pf.Licenses[i]
-			if lic.Kind != FusePutCall {
-				continue
-			}
-			if ui, ok := st.byStart[uint32(lic.calleeAt)]; ok && lic.calleeAt >= 0 {
-				lic.Callee = ui.pi.String()
-				if cpf := f.byPI[ui.pi]; cpf != nil {
-					lic.CalleeDet = cpf.Det == Det
-				}
-			} else {
-				lic.Callee = fmt.Sprintf("@%d", lic.calleeAt)
-				lic.CalleeDet = false
-			}
-		}
 	}
 
 	for _, pi := range roots {
@@ -606,58 +537,4 @@ func runAnalysis(st *imageState, roots []term.Indicator, seed map[term.Indicator
 		}
 		f.SCCs = append(f.SCCs, names)
 	}
-}
-
-func hashRange(st *imageState, ui *unitInfo) uint64 {
-	lo := int(ui.start - st.base)
-	hi := int(ui.end - st.base)
-	if lo < 0 || hi > len(st.code) || lo > hi {
-		return 0
-	}
-	return hashWords(st.code[lo:hi])
-}
-
-// Update incrementally recomputes the facts after the code range
-// [lo, hi) changed (an incremental load or hot patch). The partition
-// and call graph are rebuilt, predicates overlapping the range — and
-// their whole strongly-connected components — are re-analyzed, and
-// entry modes are seeded from the previous run, so the fixpoint only
-// revisits predicates whose modes actually grow. The seeding makes
-// the update a monotone over-approximation: a patch that narrows a
-// call site keeps the wider old mode (still sound); a full
-// AnalyzeImage restores precision.
-func (f *ImageFacts) Update(code []word.Word, base uint32, entries map[term.Indicator]uint32, roots []term.Indicator, lo, hi uint32) *ImageFacts {
-	st := newImageState(code, base, entries)
-	if roots == nil {
-		roots = defaultRoots(st)
-	}
-	comps := st.sccs()
-	compOf := sccIndex(comps)
-
-	dirtyComp := map[int]bool{}
-	seed := map[term.Indicator][]AbsVal{}
-	reuse := map[term.Indicator]*PredFacts{}
-	for i := range st.units {
-		ui := &st.units[i]
-		old := f.byPI[ui.pi]
-		dirty := old == nil ||
-			old.Start != ui.start || old.End != ui.end ||
-			old.hash != hashRange(st, ui) ||
-			(ui.start < hi && ui.end > lo)
-		if dirty {
-			dirtyComp[compOf[ui.pi]] = true
-		}
-		if old != nil && old.Mode != nil {
-			seed[ui.pi] = old.Mode
-		}
-	}
-	for i := range st.units {
-		ui := &st.units[i]
-		old := f.byPI[ui.pi]
-		if old != nil && !dirtyComp[compOf[ui.pi]] {
-			reuse[ui.pi] = old
-		}
-	}
-	runAnalysis(st, roots, seed, reuse)
-	return st.facts
 }

@@ -98,57 +98,6 @@ func TestAnalyzeImagePredAt(t *testing.T) {
 	}
 }
 
-func TestAnalyzeImagePutCallLicense(t *testing.T) {
-	code, entries := mainHelper(t)
-	f := AnalyzeImage(code, 0, entries, nil)
-	mf := f.Pred(term.Ind("main", 0))
-	var lic *License
-	for i := range mf.Licenses {
-		if mf.Licenses[i].Kind == FusePutCall {
-			lic = &mf.Licenses[i]
-		}
-	}
-	if lic == nil {
-		t.Fatalf("main/0 has no put_call license: %+v", mf.Licenses)
-	}
-	if lic.Start != 0 || lic.Instrs != 2 || lic.Callee != "helper/1" || !lic.CalleeDet {
-		t.Errorf("license = %+v, want start=0 instrs=2 callee=helper/1 det", lic)
-	}
-	if ds := CheckLicenses(f, code, 0); len(ds) != 0 {
-		t.Errorf("CheckLicenses: %s", diagString(ds))
-	}
-	// Corrupt a claim: the checker must notice.
-	lic.Words++
-	if ds := CheckLicenses(f, code, 0); len(ds) == 0 {
-		t.Error("CheckLicenses accepted a wrong word count")
-	}
-	lic.Words--
-}
-
-func TestAnalyzeImageGetRunLicense(t *testing.T) {
-	code, entries := buildImage(t, 0, []testPred{
-		{term.Ind("pair", 2), []kcmisa.Instr{
-			{Op: kcmisa.GetConst, R2: 1, K: k7()},
-			{Op: kcmisa.GetConst, R2: 2, K: k7()},
-			{Op: kcmisa.Proceed},
-		}},
-	})
-	f := AnalyzeImage(code, 0, entries, nil)
-	pf := f.Pred(term.Ind("pair", 2))
-	found := false
-	for _, lic := range pf.Licenses {
-		if lic.Kind == FuseGetRun && lic.Start == 0 && lic.Instrs == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing get_run license: %+v", pf.Licenses)
-	}
-	if ds := CheckLicenses(f, code, 0); len(ds) != 0 {
-		t.Errorf("CheckLicenses: %s", diagString(ds))
-	}
-}
-
 func TestAnalyzeImageDetClasses(t *testing.T) {
 	// nd/1: two clauses, no cut — the choice point survives.
 	// sd/1: same shape with a cut in the first clause body.
@@ -311,61 +260,10 @@ func TestImageFactsFlat(t *testing.T) {
 		"pred main/0 @0..3 reachable det=det",
 		"pred helper/1 @3..5 reachable det=det mode=(atomic)",
 		"calls helper/1",
-		"license put_call @0 instrs=2 words=2 callee=helper/1 callee_det=true",
 	} {
 		if !strings.Contains(flat, want) {
 			t.Errorf("Flat() missing %q:\n%s", want, flat)
 		}
-	}
-}
-
-func TestImageFactsUpdate(t *testing.T) {
-	code, entries := mainHelper(t)
-	f := AnalyzeImage(code, 0, entries, nil)
-	oldHelper := f.Pred(term.Ind("helper", 1))
-
-	// Append a new predicate that calls helper with a structured
-	// argument; main/0 and helper/1 words are untouched.
-	extra := enc(t,
-		kcmisa.Instr{Op: kcmisa.PutList, R2: 1},
-		kcmisa.Instr{Op: kcmisa.UnifyConst, K: k7()},
-		kcmisa.Instr{Op: kcmisa.UnifyNil},
-		kcmisa.Instr{Op: kcmisa.Execute, L: 3, N: 1},
-	)
-	lo := uint32(len(code))
-	code2 := append(append([]word.Word(nil), code...), extra...)
-	entries2 := map[term.Indicator]uint32{}
-	for pi, a := range entries {
-		entries2[pi] = a
-	}
-	entries2[term.Ind("extra", 1)] = lo
-
-	f2 := f.Update(code2, 0, entries2, nil, lo, uint32(len(code2)))
-	ef := f2.Pred(term.Ind("extra", 1))
-	if ef == nil || !ef.Reachable {
-		t.Fatal("extra/1 missing or unreachable after update")
-	}
-	// helper/1 gained a caller with a structured argument: its mode
-	// must have widened to cover both call sites.
-	hf := f2.Pred(term.Ind("helper", 1))
-	if len(hf.Mode) != 1 || hf.Mode[0] != (AbsAtomic|AbsStruct) {
-		t.Errorf("helper mode after update = %v, want [atomic|struct]", hf.Mode)
-	}
-	// main/0 was untouched and in a clean component: its facts object
-	// must be carried over, not recomputed.
-	if f2.Pred(term.Ind("main", 0)) != f.Pred(term.Ind("main", 0)) {
-		t.Error("main/0 facts recomputed despite clean component")
-	}
-	// helper/1 was re-analyzed (its mode grew), so the pointer differs.
-	if f2.Pred(term.Ind("helper", 1)) == oldHelper {
-		t.Error("helper/1 facts reused despite mode growth")
-	}
-
-	// A full re-analysis agrees with the incremental result.
-	full := AnalyzeImage(code2, 0, entries2, nil)
-	if full.Flat() != f2.Flat() {
-		t.Errorf("incremental and full analyses disagree:\n--- incremental\n%s--- full\n%s",
-			f2.Flat(), full.Flat())
 	}
 }
 

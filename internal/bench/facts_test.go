@@ -29,8 +29,8 @@ func suiteFacts(t *testing.T, p Program) *analysis.ImageFacts {
 }
 
 // TestFactsGolden pins the analyzer's whole output for every suite
-// program: entry modes, determinism classes, dead-code reports and
-// fusion licenses. Run with -update to rewrite the tables after an
+// program: entry modes, determinism classes and dead-code reports.
+// Run with -update to rewrite the tables after an
 // intentional analyzer change.
 func TestFactsGolden(t *testing.T) {
 	for _, p := range Suite {
@@ -78,29 +78,6 @@ func TestFactsCoverage(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestFactsLicenses re-derives every fusion license of every suite
-// image from the code words alone.
-func TestFactsLicenses(t *testing.T) {
-	total := 0
-	for _, p := range Suite {
-		im, err := Compile(p, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := analysis.AnalyzeImage(im.Code, 0, im.Entries, nil)
-		if ds := analysis.CheckLicenses(f, im.Code, 0); len(ds) != 0 {
-			t.Errorf("%s: %v", p.Name, ds)
-		}
-		for _, pf := range f.Preds {
-			total += len(pf.Licenses)
-		}
-	}
-	if total == 0 {
-		t.Fatal("no fusion licenses across the whole suite: collector is dead")
-	}
-	t.Logf("%d licenses across the suite, all machine-checked", total)
 }
 
 // TestDetOracle holds the analyzer to its determinism claims on real

@@ -39,26 +39,11 @@ func Compile(p Program, pure bool) (*asm.Image, error) {
 	return prog.CompileQuery(q)
 }
 
-// Fusion, when non-nil, overrides machine.Config.Fusion for every
-// bench run that does not set the field itself. cmd/kcmbench -fuse=false
-// points it at machine.Off for the A/B control: fusion is host-side
-// translation only, so every simulated table must come out
-// byte-identical either way (scripts/verify.sh holds the gate).
-var Fusion *bool
-
-func applyFusion(cfg machine.Config) machine.Config {
-	if cfg.Fusion == nil {
-		cfg.Fusion = Fusion
-	}
-	return cfg
-}
-
 // RunKCMWarm reproduces the paper's measurement protocol ("the best
 // figure obtained on 4 successive runs"): one run warms the logical
 // caches and the page tables, then the counters are reset and a
 // second, warm run is timed.
 func RunKCMWarm(p Program, pure bool, cfg machine.Config) (RunResult, error) {
-	cfg = applyFusion(cfg)
 	im, err := Compile(p, pure)
 	if err != nil {
 		return RunResult{}, err
@@ -94,7 +79,6 @@ func RunKCMWarm(p Program, pure bool, cfg machine.Config) (RunResult, error) {
 // RunKCM executes one benchmark variant cold on a machine with the
 // given configuration.
 func RunKCM(p Program, pure bool, cfg machine.Config) (RunResult, error) {
-	cfg = applyFusion(cfg)
 	im, err := Compile(p, pure)
 	if err != nil {
 		return RunResult{}, err

@@ -208,20 +208,6 @@ func WithTrace(h trace.Hook) QueryOption {
 	}
 }
 
-// WithFusion toggles the superinstruction fusion tier for this
-// query's machine (machine.Config.Fusion; on by default). Fusion is
-// host-side translation only: solutions, cycle counts and cache
-// statistics are identical either way, so Off is the A/B control.
-func WithFusion(on bool) QueryOption {
-	return func(o *queryOpts) {
-		if on {
-			o.cfg.Fusion = machine.On
-		} else {
-			o.cfg.Fusion = machine.Off
-		}
-	}
-}
-
 // WithProfile attaches a per-predicate cycle profiler; after the
 // query, read pr.Rows(), pr.Total() and pr.FoldedMap(). Equivalent to
 // WithTrace(pr).

@@ -58,8 +58,7 @@ type imagePool struct {
 type PoolOption func(*Pool)
 
 // WithConfig replaces the whole machine configuration the pool builds
-// its machines with. Apply it before the options that refine the
-// configuration (WithFusion); options are applied in order.
+// its machines with.
 func WithConfig(cfg machine.Config) PoolOption {
 	return func(p *Pool) { p.cfg = cfg }
 }
@@ -76,19 +75,6 @@ func WithPoolSize(n int) PoolOption {
 // it, Warm stays available as an explicit call.
 func WithWarm(on bool) PoolOption {
 	return func(p *Pool) { p.autoWarm = on }
-}
-
-// WithFusion toggles the superinstruction fusion tier for every pool
-// machine (on by default; host-side speed only, simulated counters
-// are identical either way).
-func WithFusion(on bool) PoolOption {
-	return func(p *Pool) {
-		if on {
-			p.cfg.Fusion = machine.On
-		} else {
-			p.cfg.Fusion = machine.Off
-		}
-	}
 }
 
 // WithProfiling arms pool-wide per-predicate cycle profiling from the
@@ -115,15 +101,6 @@ func New(options ...PoolOption) *Pool {
 		p.size = runtime.GOMAXPROCS(0)
 	}
 	return p
-}
-
-// NewPool creates a pool that serves each image with up to
-// machinesPerImage concurrent machines, all built with cfg.
-// machinesPerImage <= 0 selects GOMAXPROCS(0).
-//
-// Deprecated: use New(WithConfig(cfg), WithPoolSize(machinesPerImage)).
-func NewPool(cfg machine.Config, machinesPerImage int) *Pool {
-	return New(WithConfig(cfg), WithPoolSize(machinesPerImage))
 }
 
 // Size is the per-image machine cap.
@@ -343,7 +320,6 @@ func (p *Pool) release(ip *imagePool, m *machine.Machine) {
 		p.mu.Unlock()
 		return
 	}
-	fresh.WarmFusion()
 	ip.free <- fresh
 }
 
@@ -373,10 +349,6 @@ func (p *Pool) acquire(ctx context.Context, im *asm.Image) (*machine.Machine, *i
 			p.mu.Unlock()
 			return nil, nil, err
 		}
-		// Fused handlers are installed at build time, off every query
-		// path: all pool members share the verified image, so the
-		// install work is per machine, not per query.
-		m.WarmFusion()
 		return m, ip, nil
 	}
 	p.mu.Unlock()

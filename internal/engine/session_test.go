@@ -148,14 +148,13 @@ func TestSessionSetBudget(t *testing.T) {
 }
 
 // TestPoolOptions: New's functional options mirror core — pool size,
-// fusion toggle, profiling, and auto-warm.
+// profiling, and auto-warm.
 func TestPoolOptions(t *testing.T) {
 	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5], R).")
 
 	pool := engine.New(
 		engine.WithConfig(machine.Config{}),
 		engine.WithPoolSize(2),
-		engine.WithFusion(false),
 		engine.WithProfiling(true),
 		engine.WithWarm(true),
 	)
@@ -166,9 +165,6 @@ func TestPoolOptions(t *testing.T) {
 	if err != nil || !sol.Success {
 		t.Fatalf("query: %v %v", err, sol)
 	}
-	if sol.Result.Fusion.Runs != 0 {
-		t.Fatalf("WithFusion(false) still installed %d fused runs", sol.Result.Fusion.Runs)
-	}
 	// WithWarm built and warmed the full complement before the query.
 	if st := pool.Stats(); st.Built != 2 || st.InUse != 0 {
 		t.Fatalf("after warm+query: %+v, want 2 built, 0 in use", st)
@@ -177,19 +173,5 @@ func TestPoolOptions(t *testing.T) {
 	// report warm hit ratios (matches an explicit second run).
 	if agg := pool.Profile(); agg == nil || agg.Total() == 0 {
 		t.Fatalf("WithProfiling(true) collected nothing")
-	}
-}
-
-// TestNewPoolShim: the deprecated constructor behaves exactly like
-// New(WithConfig, WithPoolSize) for one release.
-func TestNewPoolShim(t *testing.T) {
-	im := compileImage(t, memberSrc, "member(X, [a]).")
-	pool := engine.NewPool(machine.Config{}, 3)
-	if pool.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", pool.Size())
-	}
-	sol, err := pool.Query(context.Background(), im)
-	if err != nil || sol.String() != "X = a" {
-		t.Fatalf("shim query: %v %v", err, sol)
 	}
 }

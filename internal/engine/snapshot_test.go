@@ -33,11 +33,10 @@ type counterSet struct {
 	mem            mem.Stats
 	dmmu           mmu.Stats
 	gc             machine.GCStats
-	fusion         machine.FusionStats
 }
 
 func countersOf(r machine.Result) counterSet {
-	return counterSet{r.Success, r.Stats, r.DCache, r.CCache, r.Mem, r.DataMMU, r.GC, r.Fusion}
+	return counterSet{r.Success, r.Stats, r.DCache, r.CCache, r.Mem, r.DataMMU, r.GC}
 }
 
 // solutionTrace records everything observable about one delivered

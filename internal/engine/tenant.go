@@ -235,7 +235,6 @@ drain:
 			p.mu.Unlock()
 			return nil, nil, err
 		}
-		m.WarmFusion()
 		return m, ip, nil
 	}
 	p.mu.Unlock()

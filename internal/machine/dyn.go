@@ -23,34 +23,29 @@ import (
 //
 // Every write path is diff-aware: a word already holding its target
 // value is skipped entirely, and only the span that actually changed
-// is invalidated (code cache, predecode, fused handlers, facts). This
-// is what scopes invalidation to the mutated predicate — reinstalling
-// an unchanged delta on a warm machine touches nothing — and what
-// makes copy-on-write image sharing cheap: rolling a machine back and
+// is invalidated (code cache and predecode). This is what scopes
+// invalidation to the mutated predicate — reinstalling an unchanged
+// delta on a warm machine touches nothing — and what makes
+// copy-on-write image sharing cheap: rolling a machine back and
 // replaying the same tenant's delta is a comparison sweep, not a
 // reload.
 
-// CodeMark snapshots the loaded-code frontier and the predicate entry
-// table, so a machine can later be rolled back to this point (dropping
-// any code loaded and predicates registered since).
+// CodeMark snapshots the loaded-code frontier and the meta-call
+// predicate table, so a machine can later be rolled back to this
+// point (dropping any code loaded and predicates registered since).
 type CodeMark struct {
-	top     uint32
-	entries map[term.Indicator]uint32
-	preds   map[uint64]uint32
+	top   uint32
+	preds map[uint64]uint32
 }
 
 // Top returns the code frontier the mark was taken at.
 func (mk CodeMark) Top() uint32 { return mk.top }
 
-// Snapshot captures the current code frontier and entry table.
+// Snapshot captures the current code frontier and predicate table.
 func (m *Machine) Snapshot() CodeMark {
 	mk := CodeMark{
-		top:     m.codeTop,
-		entries: make(map[term.Indicator]uint32, len(m.entries)),
-		preds:   make(map[uint64]uint32, len(m.preds)),
-	}
-	for pi, a := range m.entries {
-		mk.entries[pi] = a
+		top:   m.codeTop,
+		preds: make(map[uint64]uint32, len(m.preds)),
 	}
 	for k, a := range m.preds {
 		mk.preds[k] = a
@@ -59,8 +54,8 @@ func (m *Machine) Snapshot() CodeMark {
 }
 
 // Rollback returns the machine to a snapshot: the code frontier drops
-// back to the mark, the entry table is restored, and every PatchDyn
-// below the mark is undone. Code above the mark stays in the host
+// back to the mark, the predicate table is restored, and every
+// PatchDyn below the mark is undone. Code above the mark stays in the host
 // shadow and in physical memory, so reloading identical words later
 // (the same tenant's delta) is free; only words that actually revert
 // are invalidated.
@@ -78,29 +73,18 @@ func (m *Machine) Rollback(mk CodeMark) {
 	// delta, in which case no LoadDyn/PatchDyn follows to do it, and a
 	// run would execute stale predecoded instructions.
 	m.flushDyn()
-	if mk.top < m.codeTop {
-		// Content above the mark is untouched (it may be reloaded
-		// verbatim), but the predicates rooted there are gone, so the
-		// facts artifact must recompute the affected components with
-		// the restored entry table.
-		m.invalidateFacts(mk.top, m.codeTop)
-	}
 	m.codeTop = mk.top
 	m.growPredecode(m.codeTop)
-	m.entries = make(map[term.Indicator]uint32, len(mk.entries))
-	for pi, a := range mk.entries {
-		m.entries[pi] = a
-	}
 	m.preds = make(map[uint64]uint32, len(mk.preds))
 	for k, a := range mk.preds {
 		m.preds[k] = a
 	}
 }
 
-// TruncateCode drops the code above top without touching the entry
-// table or reverting patches: the per-query goal block is unloaded
-// this way, leaving the tenant delta (and its call-site patches)
-// installed below. The truncated words stay in the shadow and in
+// TruncateCode drops the code above top without touching the
+// predicate table or reverting patches: the per-query goal block is
+// unloaded this way, leaving the tenant delta (and its call-site
+// patches) installed below. The truncated words stay in the shadow and in
 // physical memory, so reloading them verbatim later costs nothing.
 func (m *Machine) TruncateCode(top uint32) {
 	if top > m.codeTop {
@@ -109,25 +93,25 @@ func (m *Machine) TruncateCode(top uint32) {
 	if top == m.codeTop {
 		return
 	}
-	m.invalidateFacts(top, m.codeTop)
 	m.codeTop = top
 	m.growPredecode(top)
 }
 
-// UnregisterPred removes a predicate from the machine's entry table
-// (the inverse of RegisterPred): the clause store drops a replaced
-// block's auxiliary entries so the analyzer's partition tracks the
-// live code.
+// RegisterPred enters a predicate into the machine's meta-call table,
+// making it callable through the call/1 escape. Incrementally loaded
+// code belongs to no predicate until registered.
+func (m *Machine) RegisterPred(pi term.Indicator, addr uint32) {
+	idx := m.syms.Intern(pi.Name)
+	m.preds[uint64(idx)<<8|uint64(pi.Arity&0xff)] = addr
+}
+
+// UnregisterPred removes a predicate from the machine's meta-call
+// table (the inverse of RegisterPred): the clause store drops a
+// replaced block's auxiliary entries so call/1 cannot reach dead code.
 func (m *Machine) UnregisterPred(pi term.Indicator) {
-	addr, ok := m.entries[pi]
-	if !ok {
-		return
-	}
-	delete(m.entries, pi)
 	if idx, ok := m.syms.Lookup(pi.Name); ok {
 		delete(m.preds, uint64(idx)<<8|uint64(pi.Arity&0xff))
 	}
-	m.invalidateFacts(addr, m.codeTop)
 }
 
 // CodeWordAt reads a loaded code word from the host-side shadow
@@ -158,8 +142,8 @@ func (m *Machine) writeDyn(a uint32, w word.Word) {
 }
 
 // flushDyn invalidates everything covering the pending dirty span:
-// simulated code-cache lines (the writes bypassed the cache), the
-// facts artifact, predecoded entries and fused handlers.
+// simulated code-cache lines (the writes bypassed the cache) and
+// predecoded entries.
 func (m *Machine) flushDyn() {
 	if !m.dynDirty {
 		return
@@ -167,9 +151,7 @@ func (m *Machine) flushDyn() {
 	lo, hi := m.dynLo, m.dynHi
 	m.dynDirty = false
 	m.icache.InvalidateRange(lo, hi)
-	m.invalidateFacts(lo, hi)
 	m.invalidatePredecode(lo, hi)
-	m.invalidateFused(lo, hi)
 }
 
 // LoadDyn loads a freshly linked code block at CodeTop, untimed, and
@@ -178,7 +160,7 @@ func (m *Machine) flushDyn() {
 // before any word lands); unlike LoadIncremental no simulated cycles
 // are charged, and words that already hold their target value — a
 // rolled-back machine reloading the same tenant's delta — are skipped,
-// keeping their cache residency, predecode and fused handlers.
+// keeping their cache residency and predecode.
 func (m *Machine) LoadDyn(code []word.Word) (uint32, error) {
 	base := m.codeTop
 	if len(code) == 0 {

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/compiler"
@@ -13,10 +14,10 @@ import (
 )
 
 // Invalidation scoping for the untimed dynamic-write paths (dyn.go):
-// a mutation must drop exactly the fused handlers and predecoded
-// entries that could overlap the written words — and nothing of the
-// predicates around them — and every path that reverts words must
-// flush them, or a later run executes stale decodes.
+// a mutation must drop exactly the predecoded entries that could
+// overlap the written words — and nothing of the predicates around
+// them — and every path that reverts words must flush them, or a
+// later run executes stale decodes.
 
 // patchPred compiles a replacement chain for pi, links it at the
 // predicate's current address and patches it in place. The
@@ -50,78 +51,19 @@ func patchPred(t *testing.T, m *Machine, c *compiler.Compiler, im *asm.Image, pi
 	return start, start + uint32(len(im2.Code))
 }
 
-// fusedIn counts installed fused handlers with heads in [lo, hi).
-func fusedIn(m *Machine, lo, hi uint32) int {
-	n := 0
-	for a := lo; a < hi && int64(a) < int64(len(m.fused)); a++ {
-		if m.fused[a] != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// predRange reads a predicate's code range from the facts artifact.
-func predRange(t *testing.T, m *Machine, pi term.Indicator) (uint32, uint32) {
+// predRange reads a predicate's code range from the whole-image
+// analysis of the linked image.
+func predRange(t *testing.T, im *asm.Image, pi term.Indicator) (uint32, uint32) {
 	t.Helper()
-	pf := m.Facts().Pred(pi)
+	pf := analysis.AnalyzeImage(im.Code, 0, im.Entries, nil).Pred(pi)
 	if pf == nil {
 		t.Fatalf("no facts for %v", pi)
 	}
 	return pf.Start, pf.End
 }
 
-// TestDynPatchDropsOnlyOverlappingFusion mutates one predicate of a
-// warm, fusion-installed machine and asserts the scoping rule: the
-// mutated predicate's handlers are gone, the neighbouring
-// predicate's handlers survive untouched.
-func TestDynPatchDropsOnlyOverlappingFusion(t *testing.T) {
-	const src = `
-p(1, 2, 3).
-q(4, 5, 6).
-`
-	c := compiler.New(nil)
-	mod := compileUnit(t, c, src, "p(X, Y, Z), q(A, B, C).")
-	im, err := asm.Link(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(im, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.WarmFusion()
-
-	pLo, pHi := predRange(t, m, term.Ind("p", 3))
-	qLo, qHi := predRange(t, m, term.Ind("q", 3))
-	pBefore, qBefore := fusedIn(m, pLo, pHi), fusedIn(m, qLo, qHi)
-	if pBefore == 0 || qBefore == 0 {
-		t.Fatalf("want handlers on both predicates, got p=%d q=%d", pBefore, qBefore)
-	}
-
-	patchPred(t, m, c, im, term.Ind("p", 3), "p(7, 2, 3) .")
-
-	if got := fusedIn(m, pLo, pHi); got != 0 {
-		t.Errorf("mutated predicate keeps %d fused handlers", got)
-	}
-	if got := fusedIn(m, qLo, qHi); got != qBefore {
-		t.Errorf("untouched predicate lost handlers: %d -> %d", qBefore, got)
-	}
-
-	// The machine still answers, with the patched constant.
-	entry, _ := im.Entry(compiler.QueryPI)
-	res, err := m.Run(entry)
-	if err != nil || !res.Success {
-		t.Fatalf("post-patch run: %v %v", err, res.Success)
-	}
-	if got := m.QueryBindings(im.QueryVars)[term.Var("X")]; got.String() != "7" {
-		t.Fatalf("post-patch X = %v, want 7", got)
-	}
-}
-
-// TestDynPatchInvalidatesOnlyOverlappingPredecode checks the
-// predecode side of the same rule, including its diff-awareness: a
-// whole-predicate patch that changes one operand word invalidates
+// TestDynPatchInvalidatesOnlyOverlappingPredecode checks the scoping
+// rule, including its diff-awareness: a whole-predicate patch that changes one operand word invalidates
 // only the span covering that word (plus the downward margin for
 // instructions that could straddle into it) — decodes past the
 // changed word, and the whole neighbouring predicate, survive.
@@ -145,7 +87,7 @@ q(4, 5, 6).
 		t.Fatalf("warm run: %v %v", err, res.Success)
 	}
 
-	qLo, qHi := predRange(t, m, term.Ind("q", 3))
+	qLo, qHi := predRange(t, im, term.Ind("q", 3))
 	before := predecodeWidths(m, m.CodeTop())
 	warm := 0
 	for _, w := range before[qLo:qHi] {

@@ -114,8 +114,8 @@ func renderBindings(b map[term.Var]term.Term) string {
 }
 
 // runStatic compiles the program the classic way and runs the goal
-// twice on one machine: a cold pass to warm caches, predecode and
-// fusion, then the measured pass after ResetStats.
+// twice on one machine: a cold pass to warm caches and predecode,
+// then the measured pass after ResetStats.
 func runStatic(t *testing.T, src, goal string) ([]string, machine.Result) {
 	t.Helper()
 	im, err := core.MustLoad(src).CompileQuery(goal)

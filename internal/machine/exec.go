@@ -42,30 +42,12 @@ func (m *Machine) steps(limit uint64) uint64 {
 	}
 	steps := uint64(0)
 	instrumented := m.prof != nil || m.hostProf != nil
-	fuseOK := m.fused != nil && m.cfg.Trace == nil
 	for !m.halted && m.err == nil && steps < limit {
 		addr := m.p
 		var in *kcmisa.Instr
 		var nw int
 		if int64(addr) < int64(len(m.pwidth)) {
 			w := m.pwidth[addr]
-			if w&pwFusedHead != 0 && fuseOK {
-				// Fused-handler dispatch (fuse.go): a licensed run
-				// headed here replays whole, if it fits the remaining
-				// budget — otherwise the head instruction dispatches
-				// alone below and the suspend point matches an unfused
-				// run's exactly. The pwidth flag keeps the probe off
-				// the per-step path: the table itself is only touched
-				// on marked heads.
-				if f := m.fused[addr]; f != nil && steps+uint64(len(f.instrs)) <= limit {
-					ex, fa := m.runFused(f, instrumented)
-					steps += ex
-					if m.err != nil && m.recoverHeap(fa) {
-						m.p = fa
-					}
-					continue
-				}
-			}
 			steps++
 			in = &m.pdec[addr]
 			if w != 0 {
@@ -135,18 +117,10 @@ func (m *Machine) result() Result {
 		DataMMU: m.dmmu.Stats(),
 		Profile: m.Profile(),
 		GC:      m.gcStats,
-		Fusion:  m.FusionStats(),
 	}
 }
 
 func (m *Machine) bootstrap(entry uint32) {
-	if m.fusionOn && m.fusedStale {
-		// (Re)build the fused-handler table before execution starts:
-		// untimed, host-side, and a no-op on every later boot of an
-		// unchanged image (the stale flag is only raised by code-space
-		// writes). See fuse.go.
-		m.fuseInstall()
-	}
 	hooked := m.hook != nil
 	var before uint64
 	if hooked {

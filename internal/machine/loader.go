@@ -71,10 +71,8 @@ func (m *Machine) LoadIncremental(code []word.Word) (uint32, error) {
 	}
 	m.codeTop += uint32(len(code))
 	m.shadowWrite(base, code)
-	m.invalidateFacts(base, m.codeTop)
 	m.growPredecode(m.codeTop)
 	m.invalidatePredecode(base, m.codeTop)
-	m.invalidateFused(base, m.codeTop)
 	return base, nil
 }
 
@@ -128,10 +126,8 @@ func (m *Machine) LoadBatch(code []word.Word) (uint32, error) {
 	}
 	m.codeTop = base + uint32(len(code))
 	m.shadowWrite(base, code)
-	m.invalidateFacts(base, m.codeTop)
 	m.growPredecode(m.codeTop)
 	m.invalidatePredecode(base, m.codeTop)
-	m.invalidateFused(base, m.codeTop)
 	return base, nil
 }
 
@@ -165,8 +161,6 @@ func (m *Machine) PatchCode(addr uint32, code []word.Word) error {
 		}
 	}
 	m.shadowWrite(addr, code)
-	m.invalidateFacts(addr, uint32(end))
 	m.invalidatePredecode(addr, uint32(end))
-	m.invalidateFused(addr, uint32(end))
 	return nil
 }

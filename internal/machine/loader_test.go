@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/reader"
@@ -169,5 +170,30 @@ func TestLoadSequence(t *testing.T) {
 	}
 	if n := m.QueryBindings(im3.QueryVars)[term.Var("N")]; n.String() != "8" {
 		t.Fatalf("N = %v", n)
+	}
+}
+
+// TestVerdictCachePoolPath asserts the loader goes through the verdict
+// cache: constructing two machines from one image re-checks the same
+// block and the second check must be a hit.
+func TestVerdictCachePoolPath(t *testing.T) {
+	im := buildImage(t, `
+p(1).
+`, "p(X).")
+	analysis.ResetVerdictCache()
+	defer analysis.ResetVerdictCache()
+	if _, err := New(im, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	_, missesBefore := analysis.VerdictCacheStats()
+	if _, err := New(im, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := analysis.VerdictCacheStats()
+	if misses != missesBefore {
+		t.Fatalf("second construction missed the cache (misses %d -> %d)", missesBefore, misses)
+	}
+	if hits == 0 {
+		t.Fatal("second construction produced no cache hit")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/kcmisa"
@@ -109,21 +108,6 @@ type Config struct {
 	// GlobalSize/16, floored at 64 words.
 	HeapWatermarkWords uint32
 
-	// Fusion enables the superinstruction fusion tier (fuse.go):
-	// analyzer-licensed instruction runs are installed as fused host
-	// handlers consulted before normal dispatch. Fusion is a pure
-	// host-speed artifact — simulated cycle counts, cache statistics
-	// and trace events are byte-identical either way — so it defaults
-	// to on; set Off for A/B control runs.
-	Fusion *bool
-
-	// FuseThresholdCycles gates fusion on profiler heat: 0 installs
-	// every licensed handler eagerly at bootstrap; a non-zero value
-	// installs a predicate's handlers only once its profiled cycle
-	// count (requires Profile) reaches the threshold, re-checked at
-	// session chunk boundaries.
-	FuseThresholdCycles uint64
-
 	// Profile enables the per-predicate cycle monitor (see Profile).
 	Profile bool
 
@@ -219,7 +203,6 @@ type Result struct {
 	DataMMU  mmu.Stats
 	Profile  []ProfileRow // non-nil when Config.Profile is set
 	GC       GCStats
-	Fusion   FusionStats // fused-handler install and activity counters
 }
 
 // Machine is one KCM processor with its private memory.
@@ -314,37 +297,14 @@ type Machine struct {
 	// fast path is sound (see predecode.go).
 	pdecResidentOK bool
 
-	// Superinstruction fusion tier (fuse.go): fused[a] holds the
-	// installed handler for the licensed run headed at code address a
-	// (nil = none). The table is host-side only, like the predecode
-	// tables; fusedStale triggers (re)installation at bootstrap.
-	fused          []*fusedRun
-	fusedPreds     map[uint32]bool // predicate starts already installed
-	fusedStale     bool
-	fusionOn       bool
-	fuseThreshold  uint64
-	fusedCount     int
-	fusedMaxInstrs int
-	fuseDispatches uint64
-	fuseSteps      uint64
-
 	// preds is the runtime predicate table for the meta-call escape:
 	// (atom index, arity) -> code entry.
 	preds map[uint64]uint32
 
-	// Whole-image facts support (see facts.go): codeShadow is a
-	// host-side copy of the code space so the analyzer never reads
-	// through the simulated memory system; facts is the cached
-	// artifact, invalidated range-wise by code-space writes.
+	// codeShadow is a host-side copy of the code space (shadow.go):
+	// untimed reads for the dynamic-database diff, image hashing and
+	// snapshot restore never go through the simulated memory system.
 	codeShadow []word.Word
-	facts      *analysis.ImageFacts
-	factsLo    uint32
-	factsHi    uint32
-	factsDirty bool
-	// entries is the full predicate entry table (the boot image's,
-	// plus RegisterPred additions). preds above only covers predicates
-	// whose name atom is interned; the analyzer wants all of them.
-	entries map[term.Indicator]uint32
 
 	// Dynamic-database state (dyn.go): dynOrig remembers the original
 	// words under every PatchDyn so Rollback can restore them; the
@@ -411,16 +371,8 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 		m.hostProf = &hostProfiler{}
 	}
 	m.fetch = m.fetchCode
-	m.fusionOn = boolDefault(cfg.Fusion, true)
-	m.fuseThreshold = cfg.FuseThresholdCycles
-	if m.fusionOn {
-		m.fusedStale = true
-		m.fusedPreds = map[uint32]bool{}
-	}
 	m.preds = map[uint64]uint32{}
-	m.entries = make(map[term.Indicator]uint32, len(im.Entries))
 	for pi, a := range im.Entries {
-		m.entries[pi] = a
 		if idx, ok := im.Syms.Lookup(pi.Name); ok {
 			m.preds[uint64(idx)<<8|uint64(pi.Arity)] = a
 		}
@@ -590,7 +542,6 @@ func (m *Machine) errw(sentinel error, format string, args ...any) {
 // protocol: time a second execution with warm caches.
 func (m *Machine) ResetStats() {
 	m.stats = Stats{}
-	m.fuseDispatches, m.fuseSteps = 0, 0
 	m.dcache.ResetStats()
 	m.icache.ResetStats()
 	m.phys.ResetStats()

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/kcmisa"
 )
@@ -33,16 +35,9 @@ import (
 // cache, and residency is monotone (the code image fits in the cache,
 // so no conflict can evict a line), future replays are a bare
 // NoteReads — same statistics, no per-word tag checks.
-// A second flag marks the head of an installed fused run (fuse.go):
-// the dispatch loop already loads pwidth every step, so testing a bit
-// there costs nothing, where probing the sparse fused-handler table
-// per step would add a dependent pointer load to every instruction.
-// Width and flag travel together: installLicense predecodes the head
-// when it sets the flag, and every invalidation path clears both.
 const (
 	pwResident  = 1 << 15
-	pwFusedHead = 1 << 14
-	pwWidthMask = pwFusedHead - 1
+	pwWidthMask = pwResident - 1
 )
 
 // growPredecode extends the predecode tables to cover [0, top),
@@ -61,15 +56,17 @@ func (m *Machine) growPredecode(top uint32) {
 		}
 	}
 	m.pdecResidentOK = ok
-	if int64(top) <= int64(len(m.pwidth)) {
+	n := int(top) - len(m.pwidth)
+	if n <= 0 {
 		return
 	}
-	pdec := make([]kcmisa.Instr, top)
-	copy(pdec, m.pdec)
-	m.pdec = pdec
-	pw := make([]uint16, top)
-	copy(pw, m.pwidth)
-	m.pwidth = pw
+	// Grow geometrically: the dynamic database advances the frontier
+	// one small block at a time, and an exact-size copy per advance
+	// would make a long run of mutations quadratic in the tail. The
+	// tables never shrink and are only written below their length, so
+	// the spare capacity re-exposed here is still zero (not decoded).
+	m.pdec = slices.Grow(m.pdec, n)[:top]
+	m.pwidth = slices.Grow(m.pwidth, n)[:top]
 }
 
 // invalidatePredecode drops every predecoded entry that could overlap

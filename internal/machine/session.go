@@ -94,12 +94,6 @@ func (m *Machine) RunFor(ctx context.Context, budget uint64) (Status, error) {
 			default:
 			}
 		}
-		if m.fusionOn && m.fuseThreshold > 0 && m.prof != nil {
-			// Threshold-gated fusion reacts to accumulating profile
-			// heat at chunk boundaries (the hot loop itself stays free
-			// of install checks); see fuse.go.
-			m.fuseHot()
-		}
 		chunk := uint64(CheckStride)
 		if chunk > budget {
 			chunk = budget

@@ -14,14 +14,12 @@
 // the restoring side is expected to have reconstructed it (same
 // program compile, same tenant delta) and the hash proves it did.
 //
-// Host-side derived state — predecode residency, fused-handler
-// residency caches, analyzer facts, the pushdown list — is NOT
-// serialized. Restore re-derives or invalidates it: predecode
-// residency flags and fused-run residency caches are cleared (they
-// are claims about the target's code cache, which Restore just
-// replaced), the pdl is emptied (unify resets it on entry, so its
-// content between instructions is dead), and facts stay as the
-// target's own (identical code yields identical facts).
+// Host-side derived state — predecode residency and the pushdown
+// list — is NOT serialized. Restore re-derives or invalidates it:
+// predecode residency flags are cleared (they are claims about the
+// target's code cache, which Restore just replaced) and the pdl is
+// emptied (unify resets it on entry, so its content between
+// instructions is dead).
 package machine
 
 import (
@@ -70,8 +68,7 @@ func (m *Machine) ImageHash() uint64 {
 // configFingerprint hashes every configuration input that changes
 // simulated behaviour: zone geometry, cache split and prefetch, the
 // hardware-assist flags, the cost table, the clock, physical memory
-// size, and the GC settings. Host-only knobs (fusion, profiling,
-// tracing, step budgets, output writers) are deliberately excluded —
+// size, and the GC settings. Host-only knobs (profiling, tracing, step budgets, output writers) are deliberately excluded —
 // they do not affect counters, so they need not match across a
 // migration.
 func (m *Machine) configFingerprint() uint64 {
@@ -190,7 +187,7 @@ func (m *Machine) Capture() (*snapshot.State, error) {
 	s.FrameNext = m.dmmu.Frames().Next()
 	s.OpenRow, s.OpenRowOK = m.phys.OpenRow()
 
-	s.Counters = statsToCounters(&m.stats, m.fuseDispatches, m.fuseSteps)
+	s.Counters = statsToCounters(&m.stats)
 	s.GC = snapshot.GCCounters{
 		Collections: m.gcStats.Collections,
 		LiveWords:   m.gcStats.LiveWords,
@@ -279,10 +276,9 @@ func (m *Machine) validateRestore(s *snapshot.State) error {
 // untouched.
 //
 // Host-side derived state is rebuilt, not restored: predecode
-// residency and fused-run residency caches are cleared (Restore
-// replaced the code cache contents they described), the pushdown list
-// is emptied, and a KReset trace event tells any attached hook to
-// clear its own shadow state.
+// residency is cleared (Restore replaced the code cache contents it
+// described), the pushdown list is emptied, and a KReset trace event
+// tells any attached hook to clear its own shadow state.
 func (m *Machine) Restore(s *snapshot.State) error {
 	if err := m.validateRestore(s); err != nil {
 		return err
@@ -314,7 +310,6 @@ func (m *Machine) Restore(s *snapshot.State) error {
 	m.phys.SetStats(mem.Stats{Reads: s.MemReads, Writes: s.MemWrite, PageHits: s.MemPageH})
 	m.phys.SetOpenRow(s.OpenRow, s.OpenRowOK)
 	m.stats = countersToStats(&s.Counters)
-	m.fuseDispatches, m.fuseSteps = s.Counters.FuseDispatches, s.Counters.FuseSteps
 	m.gcStats = GCStats{
 		Collections: s.GC.Collections,
 		LiveWords:   s.GC.LiveWords,
@@ -342,11 +337,6 @@ func (m *Machine) Restore(s *snapshot.State) error {
 	// matched).
 	for i := range m.pwidth {
 		m.pwidth[i] &^= pwResident
-	}
-	for _, f := range m.fused {
-		if f != nil {
-			f.allRes = false
-		}
 	}
 	m.pdl = m.pdl[:0]
 	m.pendingCallSet = false
@@ -377,7 +367,7 @@ func (m *Machine) pokeRange(base uint32, ws []word.Word) {
 	}
 }
 
-func statsToCounters(st *Stats, fd, fs uint64) snapshot.Counters {
+func statsToCounters(st *Stats) snapshot.Counters {
 	return snapshot.Counters{
 		NsPerCycle:   st.NsPerCycle,
 		Cycles:       st.Cycles,
@@ -396,9 +386,6 @@ func statsToCounters(st *Stats, fd, fs uint64) snapshot.Counters {
 		EnvAllocs:    st.EnvAllocs,
 		Builtins:     st.Builtins,
 		CPWords:      st.CPWords,
-
-		FuseDispatches: fd,
-		FuseSteps:      fs,
 	}
 }
 

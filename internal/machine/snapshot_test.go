@@ -423,14 +423,13 @@ func TestResetClearsRegisterRoots(t *testing.T) {
 
 // TestCountersMirrorsStats pins the serializer's exhaustive-inventory
 // property: snapshot.Counters must mirror machine.Stats field for
-// field (plus the two fusion counters kept outside Stats), so adding a
-// Stats field without extending the snapshot breaks this test instead
-// of silently dropping state.
+// field, so adding a Stats field without extending the snapshot breaks
+// this test instead of silently dropping state.
 func TestCountersMirrorsStats(t *testing.T) {
 	st := reflect.TypeOf(Stats{})
 	ct := reflect.TypeOf(snapshot.Counters{})
-	if ct.NumField() != st.NumField()+2 {
-		t.Fatalf("snapshot.Counters has %d fields, machine.Stats %d (+2 fusion counters expected)",
+	if ct.NumField() != st.NumField() {
+		t.Fatalf("snapshot.Counters has %d fields, machine.Stats %d",
 			ct.NumField(), st.NumField())
 	}
 	for i := 0; i < st.NumField(); i++ {

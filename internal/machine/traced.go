@@ -24,9 +24,12 @@ import (
 //     over the benchmark suite.
 //
 // stepsTraced therefore duplicates steps() line for line rather than
-// sharing an abstracted loop: an abstraction boundary here would cost
-// the untraced path its inlining. Any change to steps() must be
-// mirrored; the pinned fingerprints catch a divergence immediately.
+// sharing one loop. That is measured, not assumed: a single loop with
+// every emission behind m.hook != nil ran the untraced warm nrev 9%
+// and qsort 13% slower than the twin (median ratio over 12
+// interleaved pairs of BenchmarkHost*, slower in 11 and 9 of them, on
+// a 2-CPU shared host). Any change to steps() must be mirrored; the
+// pinned fingerprints catch a divergence immediately.
 
 // emit stamps the per-machine sequence number and delivers one event.
 // Callers guard on m.hook != nil.
@@ -72,7 +75,6 @@ func (m *Machine) Hook() trace.Hook { return m.hook }
 func (m *Machine) stepsTraced(limit uint64) uint64 {
 	steps := uint64(0)
 	instrumented := m.prof != nil || m.hostProf != nil
-	fuseOK := m.fused != nil && m.cfg.Trace == nil
 	for !m.halted && m.err == nil && steps < limit {
 		addr := m.p
 		m.traceP = addr
@@ -82,18 +84,6 @@ func (m *Machine) stepsTraced(limit uint64) uint64 {
 		var nw int
 		if int64(addr) < int64(len(m.pwidth)) {
 			w := m.pwidth[addr]
-			if w&pwFusedHead != 0 && fuseOK {
-				// Mirror of the fused dispatch in steps(): the traced
-				// twin of the handler emits the identical event stream.
-				if f := m.fused[addr]; f != nil && steps+uint64(len(f.instrs)) <= limit {
-					ex, fa := m.runFusedTraced(f, instrumented)
-					steps += ex
-					if m.err != nil && m.recoverHeap(fa) {
-						m.p = fa
-					}
-					continue
-				}
-			}
 			steps++
 			in = &m.pdec[addr]
 			if w != 0 {

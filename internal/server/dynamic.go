@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -159,8 +158,7 @@ func mutationStatus(err error) int {
 // next lease.
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 	var req wire.AssertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {
@@ -198,8 +196,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 // database; Status "no" reports that nothing matched.
 func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 	var req wire.RetractRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {

@@ -41,7 +41,7 @@ type Config struct {
 	// Programs maps a program name to its Prolog source text.
 	Programs map[string]string
 	// PoolOptions configure the machine pool (engine.WithPoolSize,
-	// engine.WithWarm, engine.WithFusion, engine.WithProfiling, ...).
+	// engine.WithWarm, engine.WithProfiling, ...).
 	PoolOptions []engine.PoolOption
 	// DefaultBudget is the per-slice step budget when a request
 	// carries none (default 50M instructions).
@@ -294,8 +294,6 @@ func (s *Server) account(sess *engine.Session, errored bool) {
 	s.totals.Inferences += res.Stats.Inferences
 	s.totals.GCCollections += res.GC.Collections
 	s.totals.GCCycles += res.GC.Cycles
-	s.totals.FusionDispatch += res.Fusion.Dispatches
-	s.totals.FusedSteps += res.Fusion.FusedSteps
 }
 
 // counters renders a session-cumulative machine.Result on the wire.
@@ -307,7 +305,6 @@ func counters(res machine.Result) *wire.Counters {
 		Millis:        res.Stats.Millis(),
 		GCCollections: res.GC.Collections,
 		GCCycles:      res.GC.Cycles,
-		FusedSteps:    res.Fusion.FusedSteps,
 	}
 }
 
@@ -335,8 +332,7 @@ func errorReply(err error) wire.Reply {
 // only serializes their wire values onto the connection.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req wire.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {
@@ -450,8 +446,7 @@ func resumableErr(sess *engine.Session) bool {
 // handleNext resumes a parked session by one slice.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	var req wire.NextRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rep, code := s.runNext(r.Context(), req)
@@ -543,8 +538,7 @@ func reasonReply(reason doneReason, id string) (wire.Reply, int) {
 // handleCancel discards a parked session.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	var req wire.CancelRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	e, ok := s.sessions.get(req.Session)
@@ -706,6 +700,28 @@ func (s *Server) send(ctx context.Context, lines chan<- wire.Reply, rep wire.Rep
 	case <-ctx.Done():
 		return false
 	}
+}
+
+// maxBodyBytes caps a request body. Every request is a small JSON
+// object (a goal, a clause, a session handle), so 1 MiB leaves ample
+// room while a client cannot make the daemon read without bound.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v. On failure it
+// writes the error reply — 413 when the body exceeds maxBodyBytes,
+// 400 for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorReply(fmt.Errorf("bad request: %w", err)))
+	return false
 }
 
 // writeJSON writes one JSON body with status code.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,5 +268,25 @@ func TestDrainCompletesSuspended(t *testing.T) {
 	rep, err := c.Query(ctx, wire.QueryRequest{Goal: "member(X, [1])."})
 	if err == nil && rep.Status == wire.StatusYes {
 		t.Errorf("query accepted after drain: %+v", rep)
+	}
+}
+
+// TestOversizedBodyRejected: a request body past maxBodyBytes gets
+// 413, on a query and on a mutation alike, and the daemon keeps
+// serving normal requests afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, c := startServer(t, Config{})
+	huge := strings.Repeat("a", 2<<20)
+	for path, body := range map[string]any{
+		"/v1/query":  wire.QueryRequest{Goal: huge},
+		"/v1/assert": wire.AssertRequest{Tenant: "alice", Clause: huge},
+	} {
+		if rep, code := postRaw(t, c.Base(), path, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 2 MiB body: http %d (%+v), want 413", path, code, rep)
+		}
+	}
+	rep, code := postRaw(t, c.Base(), "/v1/query", wire.QueryRequest{Goal: "member(X, [a])."})
+	if code != http.StatusOK || rep.Status != wire.StatusYes || rep.Bindings["X"] != "a" {
+		t.Fatalf("query after the rejections: http %d %+v", code, rep)
 	}
 }

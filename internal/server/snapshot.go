@@ -98,8 +98,7 @@ func (s *Server) readEnvelope(handle string) (envelope, bool, error) {
 // /v1/resume.
 func (s *Server) handleSuspend(w http.ResponseWriter, r *http.Request) {
 	var req wire.SuspendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.cfg.StateDir == "" {
@@ -156,8 +155,7 @@ func (s *Server) handleSuspend(w http.ResponseWriter, r *http.Request) {
 // snapshot file is consumed by a successful resume.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	var req wire.ResumeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {

@@ -8,10 +8,10 @@
 // solutions, same cycle counts, same cache statistics.
 //
 // What the blob deliberately does NOT carry is host-side derived
-// state: predecode residency, fused-handler tables, analyzer facts,
-// profiler shadow stacks. Those are caches over the code image and are
-// rebuilt (or lazily refilled) by the restoring machine; serializing
-// them would bloat the blob and tie it to one host build. The split
+// state: predecode residency and profiler shadow stacks. Those are
+// caches over the code image and are rebuilt (or lazily refilled) by
+// the restoring machine; serializing them would bloat the blob and tie
+// it to one host build. The split
 // rule is: anything that affects a simulated counter is serialized,
 // anything that only affects host wall-clock is derived.
 //
@@ -37,7 +37,7 @@ import (
 // ErrVersion, so format evolution is explicit, never silent.
 const (
 	Magic   = "KCMSNAP1"
-	Version = 1
+	Version = 2
 )
 
 // Typed decode failures. Decode never panics and never partially
@@ -50,8 +50,7 @@ var (
 	ErrMalformed = errors.New("snapshot: malformed blob")
 )
 
-// Counters mirrors machine.Stats field for field (plus the fusion
-// dispatch counters that live beside it). The mirror exists so this
+// Counters mirrors machine.Stats field for field. The mirror exists so this
 // package need not import the machine; the machine's capture code
 // converts both ways and a reflection test there pins the two structs
 // to the same shape, which is what makes the serializer an exhaustive
@@ -74,9 +73,6 @@ type Counters struct {
 	EnvAllocs    uint64
 	Builtins     uint64
 	CPWords      uint64
-
-	FuseDispatches uint64
-	FuseSteps      uint64
 }
 
 // GCCounters mirrors machine.GCStats.
@@ -477,7 +473,7 @@ func (w *writer) counters(c *Counters) {
 		c.Cycles, c.Instrs, c.Inferences, c.DerefSteps, c.UnifyNodes,
 		c.TrailChecks, c.TrailPushes, c.ShallowTries, c.ShallowFails,
 		c.DeepFails, c.ChoicePoints, c.NeckUpdates, c.NeckDet,
-		c.EnvAllocs, c.Builtins, c.CPWords, c.FuseDispatches, c.FuseSteps,
+		c.EnvAllocs, c.Builtins, c.CPWords,
 	} {
 		w.u64(v)
 	}
@@ -657,7 +653,7 @@ func (r *reader) counters(c *Counters) {
 		&c.Cycles, &c.Instrs, &c.Inferences, &c.DerefSteps, &c.UnifyNodes,
 		&c.TrailChecks, &c.TrailPushes, &c.ShallowTries, &c.ShallowFails,
 		&c.DeepFails, &c.ChoicePoints, &c.NeckUpdates, &c.NeckDet,
-		&c.EnvAllocs, &c.Builtins, &c.CPWords, &c.FuseDispatches, &c.FuseSteps,
+		&c.EnvAllocs, &c.Builtins, &c.CPWords,
 	} {
 		*p = r.u64()
 	}

@@ -37,7 +37,7 @@ func sample() *State {
 		DataPages: []mmu.PageEntry{{VPage: 4, Frame: 1}},
 		CodePages: []mmu.PageEntry{{VPage: 0, Frame: 0}},
 		FrameNext: 2, OpenRow: 9, OpenRowOK: true,
-		Counters: Counters{NsPerCycle: 80, Cycles: 1000, Instrs: 200, FuseSteps: 3},
+		Counters: Counters{NsPerCycle: 80, Cycles: 1000, Instrs: 200, Inferences: 3},
 		GC:       GCCounters{Collections: 2, LiveWords: 50, FreedWords: 70, TrailDrops: 1, Cycles: 480},
 		DCache:   cache.Stats{Reads: 500, Writes: 300, ReadMiss: 20, WriteMiss: 10, WriteBacks: 5},
 		CCache:   cache.Stats{Reads: 800, ReadMiss: 30},
@@ -96,14 +96,18 @@ func TestBitFlips(t *testing.T) {
 	}
 }
 
-// TestVersionSkew: a future format version is rejected with ErrVersion
-// specifically.
+// TestVersionSkew: a past or future format version is rejected with
+// ErrVersion specifically. Version 1 blobs carried two more counters,
+// so decoding one with this build's layout would misread every field
+// after them.
 func TestVersionSkew(t *testing.T) {
 	blob := Encode(sample())
-	mut := append([]byte(nil), blob...)
-	mut[len(Magic)] = Version + 1
-	if _, err := Decode(mut); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version skew: %v, want ErrVersion", err)
+	for _, v := range []byte{1, Version + 1} {
+		mut := append([]byte(nil), blob...)
+		mut[len(Magic)] = v
+		if _, err := Decode(mut); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: %v, want ErrVersion", v, err)
+		}
 	}
 }
 

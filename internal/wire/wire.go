@@ -146,7 +146,6 @@ type Counters struct {
 	Millis        float64 `json:"millis"` // simulated, at 80 ns/cycle
 	GCCollections uint64  `json:"gc_collections,omitempty"`
 	GCCycles      uint64  `json:"gc_cycles,omitempty"`
-	FusedSteps    uint64  `json:"fused_steps,omitempty"`
 }
 
 // Reply is the response body of query, next and cancel — and, in a
@@ -199,8 +198,6 @@ type Totals struct {
 	Inferences      uint64 `json:"inferences"`
 	GCCollections   uint64 `json:"gc_collections"`
 	GCCycles        uint64 `json:"gc_cycles"`
-	FusionDispatch  uint64 `json:"fusion_dispatches"`
-	FusedSteps      uint64 `json:"fused_steps"`
 	ProfiledPredCnt int    `json:"profiled_predicates,omitempty"`
 }
 

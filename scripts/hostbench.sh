@@ -31,21 +31,12 @@ go test -run '^$' -bench '^BenchmarkHost' -benchmem -benchtime "$btime" -count "
 # below says which case this file is.
 go test -run '^$' -bench '^BenchmarkHostPoolNrev$' -benchmem -benchtime "$btime" -count "$count" -cpu 1,4,8 . | tee -a "$raw"
 
-# The unfused control column: the same warm benchmarks with the
-# superinstruction fusion tier off (KCM_FUSE=off, see hostbench_test.go).
-# Simulated metrics are identical by construction; the ns/op delta is
-# the fusion tier's host-side win.
-rawoff=$(mktemp)
-trap 'rm -f "$raw" "$rawoff"' EXIT
-KCM_FUSE=off go test -run '^$' -bench '^BenchmarkHost(Nrev|Qsort|Queens|Zebra)$' -benchmem -benchtime "$btime" -count "$count" . | tee "$rawoff"
-
 {
     printf '{\n'
     printf '  "bench_id": "%s",\n' "$n"
     printf '  "host_cpus": %s,\n' "$(nproc)"
     printf '  "note": "PoolNrev-N records warm-pool query throughput at GOMAXPROCS=N; scaling is bounded by host_cpus (flat when host_cpus=1)",\n'
     printf '  "protocol": "min of %s runs x %s, warm machine (see hostbench_test.go)",\n' "$count" "$btime"
-    printf '  "fusion": "on",\n'
     printf '  "benchmarks": {\n'
     awk '
     /^BenchmarkHost/ {
@@ -63,39 +54,15 @@ KCM_FUSE=off go test -run '^$' -bench '^BenchmarkHost(Nrev|Qsort|Queens|Zebra)$'
             allocs[name] = v["allocs/op"] + 0
             klips[name]  = v["simulated-Klips"] + 0
             mips[name]   = v["host-Mips"] + 0
-            fused[name]  = v["fused-handlers"] + 0
         }
     }
     END {
         for (i = 1; i <= m; i++) {
             b = order[i]
-            printf "    \"%s\": {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d, \"simulated_klips\": %.1f, \"host_mips\": %.1f, \"fused_handlers\": %d}%s\n",
-                b, ns[b], bytes[b], allocs[b], klips[b], mips[b], fused[b], (i < m) ? "," : ""
+            printf "    \"%s\": {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d, \"simulated_klips\": %.1f, \"host_mips\": %.1f}%s\n",
+                b, ns[b], bytes[b], allocs[b], klips[b], mips[b], (i < m) ? "," : ""
         }
     }' "$raw"
-    printf '  },\n'
-    printf '  "control_nofuse": {\n'
-    awk '
-    /^BenchmarkHost/ {
-        name = $1
-        sub(/^BenchmarkHost/, "", name)
-        sub(/-[0-9]+$/, "", name)
-        delete v
-        for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
-        if (!(name in ns)) { order[++m] = name }
-        if (!(name in ns) || v["ns/op"] + 0 < ns[name] + 0) {
-            ns[name]     = v["ns/op"] + 0
-            bytes[name]  = v["B/op"] + 0
-            allocs[name] = v["allocs/op"] + 0
-        }
-    }
-    END {
-        for (i = 1; i <= m; i++) {
-            b = order[i]
-            printf "    \"%s\": {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d}%s\n",
-                b, ns[b], bytes[b], allocs[b], (i < m) ? "," : ""
-        }
-    }' "$rawoff"
     printf '  }'
     if [ -n "${HOSTBENCH_BASELINE:-}" ] && [ -f "${HOSTBENCH_BASELINE}" ]; then
         printf ',\n  "baseline": {\n'

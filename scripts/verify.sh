@@ -78,16 +78,6 @@ END {
     exit bad
 }' "$covprofile"
 
-echo '== fusion A/B gate (simulated tables must be byte-identical with the fusion tier off)'
-tabfuse=$(mktemp); tabnofuse=$(mktemp)
-trap 'rm -f "$covprofile" "$tabfuse" "$tabnofuse"' EXIT
-go run ./cmd/kcmbench -table all > "$tabfuse"
-go run ./cmd/kcmbench -fuse=false -table all > "$tabnofuse"
-if ! diff -u "$tabfuse" "$tabnofuse"; then
-    echo "FAIL: kcmbench tables differ between -fuse and -fuse=false" >&2
-    exit 1
-fi
-
 echo '== kcmd smoke (ephemeral port: query + stream + cancel + tenant + suspend/resume across restart, clean drain)'
 go run ./cmd/kcmd -smoke
 
@@ -97,7 +87,7 @@ go run ./cmd/kcmvet -strict -bench examples/*/main.go
 echo '== kcmlint (host-source lint: sentinel errors, hot-loop allocs, Kind switches, handler discipline)'
 go run ./cmd/kcmlint .
 
-echo '== host-bench smoke (warm nrev, fused handlers on, must run allocation-free)'
+echo '== host-bench smoke (warm nrev, must run allocation-free)'
 out=$(go test -run '^$' -bench '^BenchmarkHostNrev$' -benchtime 1x -benchmem .)
 echo "$out"
 echo "$out" | awk '
