@@ -14,12 +14,18 @@ package repro
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/compiler"
+	"repro/internal/core"
+	"repro/internal/dyndb"
 	"repro/internal/engine"
 	"repro/internal/machine"
+	"repro/internal/reader"
+	"repro/internal/term"
 )
 
 // hostRun compiles the program once, boots one machine, warms it with
@@ -201,5 +207,80 @@ func BenchmarkHostBoot(b *testing.B) {
 		if _, err := m.Run(entry); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHostTenantChurn times the tenant path of the dynamic
+// database end to end: one op is an assertz, a retract and a full
+// fact(X) enumeration through a 1-machine pool, alternating between
+// two 16-fact tenants so that every lease is a tenant switch (roll the
+// other tenant's delta back, install this one's). history=N first runs
+// N assert/retract pairs on each tenant outside the timer, so the two
+// sub-benchmarks compare a fresh tenant with one that has a long
+// mutation history behind it.
+func BenchmarkHostTenantChurn(b *testing.B) {
+	var src strings.Builder
+	src.WriteString(":- dynamic(fact/1).\n")
+	for i := 1; i <= 16; i++ {
+		fmt.Fprintf(&src, "fact(%d).\n", i)
+	}
+	parse := func(text string) term.Term {
+		t, err := reader.ParseTerm(text + " .")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return t
+	}
+	goal, extra := parse("fact(X)"), parse("fact(extra)")
+	pair := func(db *dyndb.DB) {
+		if _, err := db.Assertz(extra); err != nil {
+			b.Fatal(err)
+		}
+		if ok, _, err := db.Retract(extra); err != nil || !ok {
+			b.Fatalf("retract: ok=%v err=%v", ok, err)
+		}
+	}
+	for _, history := range []int{0, 2000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			im, ds, err := core.MustLoad(src.String()).BaseImage()
+			if err != nil {
+				b.Fatal(err)
+			}
+			seed, err := dyndb.New(im, ds.Order)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, pi := range ds.Order {
+				if _, err := seed.Reload(pi, ds.Clauses[pi]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tenants := []*dyndb.DB{seed.Clone(), seed.Clone()}
+			for _, db := range tenants {
+				for i := 0; i < history; i++ {
+					pair(db)
+				}
+			}
+			pool := engine.New(engine.WithPoolSize(1))
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db := tenants[i%2]
+				pair(db)
+				s, err := pool.BeginDyn(ctx, db, goal)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for s.Next(ctx) {
+					n++
+				}
+				s.Close()
+				if s.Err() != nil || n != 16 {
+					b.Fatalf("enumerated %d facts (err=%v), want 16", n, s.Err())
+				}
+			}
+		})
 	}
 }

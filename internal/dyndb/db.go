@@ -4,12 +4,15 @@
 // mutation, layered copy-on-write above an immutable base image.
 //
 // A DB owns one tenant's view of a program: the shared base code
-// space (never written), a private code tail holding every rebuilt
-// predicate block, and a sparse overlay of patched base words — the
-// Call/Execute sites retargeted when a mutated predicate's entry
-// moved. Machines materialise the view on demand (install.go): the
-// whole pool shares one boot image while each tenant's asserted
-// clauses stay private to its delta.
+// space (never written), a private code tail holding the current
+// block of every rebuilt predicate, and a sparse overlay of patched
+// base words — the Call/Execute sites retargeted when a mutated
+// predicate's entry moved. Each mutation appends its rebuilt block to
+// the tail; once the blocks it replaced outweigh the live ones, the
+// mutation compacts the tail, so the tail tracks the live clauses,
+// not the mutation history. Machines materialise the view on demand
+// (install.go): the whole pool shares one boot image while each
+// tenant's asserted clauses stay private to its delta.
 //
 // Every block enters a code space only through the analyzer's
 // loader-grade validation (analysis.CheckEncoded): a malformed
@@ -46,10 +49,15 @@ var (
 // compiled block.
 type pred struct {
 	clauses []term.Term      // source clauses, chain order
+	mod     *compiler.Module // compiled chain (nil while the block is the base stub); relinked when compaction moves it
 	addr    uint32           // current entry address
 	lo, hi  uint32           // current block extent (aux included)
-	aux     []term.Indicator // auxiliary entries of the current block
 }
+
+// compactSlack is the dead-word allowance on top of the live words:
+// a mutation compacts the tail once it is longer than twice the live
+// words plus this, so small tails are not relaid on every mutation.
+const compactSlack = 64
 
 // DB is one tenant's dynamic database over a shared base image.
 type DB struct {
@@ -62,7 +70,8 @@ type DB struct {
 	baseEntries map[term.Indicator]uint32
 
 	tail    []word.Word               // private delta code, loaded at baseTop
-	patches map[uint32]word.Word      // private rewrites of loaded words (base and tail)
+	live    int                       // words of tail in current blocks
+	patches map[uint32]word.Word      // private rewrites of base words
 	entries map[term.Indicator]uint32 // full current entry table
 	preds   map[term.Indicator]*pred
 	version uint64
@@ -137,9 +146,10 @@ func (db *DB) Clauses(pi term.Indicator) []term.Term {
 }
 
 // Clone makes an independent database sharing the immutable base:
-// the seed of a fresh tenant. Clause terms are shared (the reader
-// never mutates a parsed term); the tail, overlay, entry table and
-// chains are copied.
+// the seed of a fresh tenant. Clause terms and compiled modules are
+// shared (the reader never mutates a parsed term, the linker never
+// mutates a module); the tail, overlay, entry table and chains are
+// copied.
 func (db *DB) Clone() *DB {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -150,6 +160,7 @@ func (db *DB) Clone() *DB {
 		baseTop:     db.baseTop,
 		baseEntries: db.baseEntries,
 		tail:        append([]word.Word(nil), db.tail...),
+		live:        db.live,
 		patches:     make(map[uint32]word.Word, len(db.patches)),
 		entries:     make(map[term.Indicator]uint32, len(db.entries)),
 		preds:       make(map[term.Indicator]*pred, len(db.preds)),
@@ -165,7 +176,6 @@ func (db *DB) Clone() *DB {
 	for pi, p := range db.preds {
 		cp := *p
 		cp.clauses = append([]term.Term(nil), p.clauses...)
-		cp.aux = append([]term.Indicator(nil), p.aux...)
 		c.preds[pi] = &cp
 	}
 	return c
@@ -213,7 +223,7 @@ func (db *DB) assert(cl term.Term, front bool) (uint64, error) {
 		next = append(next, p.clauses...)
 		next = append(next, cl)
 	}
-	if _, err := db.rebuild(pi, p, next); err != nil {
+	if err := db.rebuild(pi, p, next); err != nil {
 		return 0, err
 	}
 	return db.version, nil
@@ -247,7 +257,7 @@ func (db *DB) Retract(cl term.Term) (bool, uint64, error) {
 	next := make([]term.Term, 0, len(p.clauses)-1)
 	next = append(next, p.clauses[:at]...)
 	next = append(next, p.clauses[at+1:]...)
-	if _, err := db.rebuild(pi, p, next); err != nil {
+	if err := db.rebuild(pi, p, next); err != nil {
 		return false, 0, err
 	}
 	return true, db.version, nil
@@ -266,7 +276,7 @@ func (db *DB) Reload(pi term.Indicator, clauses []term.Term) (uint64, error) {
 		p = &pred{}
 		db.preds[pi] = p
 	}
-	if _, err := db.rebuild(pi, p, append([]term.Term(nil), clauses...)); err != nil {
+	if err := db.rebuild(pi, p, append([]term.Term(nil), clauses...)); err != nil {
 		if len(p.clauses) == 0 && p.hi == 0 {
 			delete(db.preds, pi) // fresh declaration never materialised
 		}
@@ -301,62 +311,143 @@ func (db *DB) chainFor(cl term.Term, declare bool) (term.Indicator, *pred, error
 }
 
 // rebuild compiles a predicate's new chain, links it at the top of
-// the delta, validates it, and — only then — commits: the block is
+// the tail, validates it, and — only then — commits: the block is
 // appended to the tail, the entry table is updated, and every call
-// site of the old entry is retargeted to the new block. Callers hold
-// db.mu.
-func (db *DB) rebuild(pi term.Indicator, p *pred, clauses []term.Term) (*change, error) {
+// site of the old entry is retargeted to the new block. A commit that
+// leaves the tail longer than twice its live words (plus
+// compactSlack) compacts it within the same mutation, which keeps the
+// amortised cost of a mutation O(block). Callers hold db.mu.
+func (db *DB) rebuild(pi term.Indicator, p *pred, clauses []term.Term) error {
 	c := compiler.New(db.syms)
 	c.SetAuxBase(db.auxSeq)
 	mod, err := c.CompileClauses(pi, clauses)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadClause, err)
+		return fmt.Errorf("%w: %v", ErrBadClause, err)
 	}
 	top := db.baseTop + uint32(len(db.tail))
 	im, err := asm.LinkAt(mod, top, db.entries)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadClause, err)
+		return fmt.Errorf("%w: %v", ErrBadClause, err)
 	}
 	if ds := analysis.CheckEncodedCached(im.Code, top, top); len(ds) > 0 {
-		return nil, &machine.CodeError{Base: top, Diags: ds}
+		return &machine.CodeError{Base: top, Diags: ds}
 	}
 	newAddr, ok := im.Entries[pi]
 	if !ok {
-		return nil, fmt.Errorf("dyndb: linked block lost entry %v", pi)
+		return fmt.Errorf("dyndb: linked block lost entry %v", pi)
 	}
 
 	// Commit. The old entry address (0 means a fresh declaration with
 	// no callers yet) is retargeted across the whole image.
 	oldAddr := p.addr
-	ch := &change{
-		pi:        pi,
-		addr:      newAddr,
-		blockBase: top,
-		block:     im.Code,
-		version:   db.version + 1,
-	}
 	db.tail = append(db.tail, im.Code...)
-	for _, api := range p.aux {
-		delete(db.entries, api)
-		ch.dropEntries = append(ch.dropEntries, api)
-	}
-	p.aux = p.aux[:0]
-	for _, mpi := range im.Order {
-		if mpi != pi {
-			p.aux = append(p.aux, mpi)
+	if p.mod != nil {
+		for _, old := range p.mod.Order {
+			delete(db.entries, old)
 		}
-		db.entries[mpi] = im.Entries[mpi]
-		ch.addEntries = append(ch.addEntries, entryOp{pi: mpi, addr: im.Entries[mpi]})
+		db.live -= int(p.hi - p.lo)
 	}
-	p.clauses = clauses
+	for _, mpi := range im.Order {
+		db.entries[mpi] = im.Entries[mpi]
+	}
+	p.clauses, p.mod = clauses, mod
 	p.addr = newAddr
 	p.lo, p.hi = top, top+uint32(len(im.Code))
+	db.live += len(im.Code)
 	if oldAddr != 0 {
-		ch.patches = db.retarget(oldAddr, newAddr)
+		db.retarget(oldAddr, newAddr)
 	}
 	db.auxSeq = c.AuxBase()
 	db.version++
-	return ch, nil
+	if len(db.tail) > 2*db.live+compactSlack {
+		// A compaction that fails commits nothing: the uncompacted
+		// state is still valid, and the next mutation tries again.
+		_ = db.compact()
+	}
+	return nil
+}
+
+// compact rewrites the tail to hold only the current blocks, laid out
+// contiguously from baseTop in their current address order, and moves
+// the entry table, the overlay and the block extents with them.
+//
+// Pass 1 computes every block's new address and with it every moved
+// entry (a block's size does not depend on where it is linked). Pass 2
+// relinks each block's compiled module at its new address against the
+// new entry table and checks the whole new tail like a load. The old
+// tail is not retargeted in place: new addresses reuse old ones, so an
+// old→new rewrite would also capture calls to whichever block now sits
+// at an old address. Nothing is committed unless every step succeeds.
+// Callers hold db.mu.
+func (db *DB) compact() error {
+	type move struct {
+		pi term.Indicator
+		p  *pred
+		lo uint32 // new block start
+	}
+	var moves []move
+	for pi, p := range db.preds {
+		if p.mod != nil {
+			moves = append(moves, move{pi: pi, p: p})
+		}
+	}
+	sort.Slice(moves, func(i, j int) bool { return moves[i].p.lo < moves[j].p.lo })
+
+	// Pass 1: layout, the new entry table, and old→new for every moved
+	// entry.
+	entries := make(map[term.Indicator]uint32, len(db.entries))
+	for pi, a := range db.entries {
+		entries[pi] = a
+	}
+	moved := make(map[uint32]uint32, len(moves))
+	at := db.baseTop
+	for i := range moves {
+		mv := &moves[i]
+		mv.lo = at
+		for _, mpi := range mv.p.mod.Order {
+			old := db.entries[mpi]
+			entries[mpi] = old - mv.p.lo + at
+			moved[old] = entries[mpi]
+		}
+		at += mv.p.hi - mv.p.lo
+	}
+
+	// Pass 2: relink every block where pass 1 put it.
+	tail := make([]word.Word, 0, at-db.baseTop)
+	for _, mv := range moves {
+		im, err := asm.LinkAt(mv.p.mod, mv.lo, entries)
+		if err != nil {
+			return err
+		}
+		if n := mv.p.hi - mv.p.lo; len(im.Code) != int(n) {
+			return fmt.Errorf("dyndb: %v relinked to %d words, was %d", mv.pi, len(im.Code), n)
+		}
+		tail = append(tail, im.Code...)
+	}
+	if ds := analysis.CheckEncodedCached(tail, db.baseTop, db.baseTop); len(ds) > 0 {
+		return &machine.CodeError{Base: db.baseTop, Diags: ds}
+	}
+
+	// Every overlay word is a base call site naming a current entry:
+	// move them all in one substitution.
+	patches := make(map[uint32]word.Word, len(db.patches))
+	var in kcmisa.Instr
+	for a, w := range db.patches {
+		kcmisa.DecodeInto(db.codeAt, a, &in)
+		to, ok := moved[uint32(in.L)]
+		if !ok || (in.Op != kcmisa.Call && in.Op != kcmisa.Execute) {
+			return fmt.Errorf("dyndb: overlay word at %d does not call a current block", a)
+		}
+		patches[a] = w&^word.Word(0xFFFFFFFF) | word.Word(to)
+	}
+
+	db.tail, db.patches, db.entries = tail, patches, entries
+	for _, mv := range moves {
+		p := mv.p
+		p.addr = entries[mv.pi]
+		p.lo, p.hi = mv.lo, mv.lo+(p.hi-p.lo)
+	}
+	return nil
 }
 
 // codeAt reads the database's current view of the code space: base
@@ -377,14 +468,11 @@ func (db *DB) codeAt(a uint32) word.Word {
 // retarget rewrites every Call/Execute site whose target is old to
 // point at new, walking the image instruction by instruction (switch
 // tables are skipped atomically, so a key word can never be mistaken
-// for a call). The value part of the instruction word is rewritten
-// in place; the opcode half is untouched. Tail words are additionally
-// updated in place (the tail is private, and a fresh machine loads it
-// wholesale), but every rewrite goes to the overlay, which is how
-// incremental Materialize repairs call sites below an already-synced
-// machine's frontier. Returns the applied patches in address order.
-func (db *DB) retarget(old, new uint32) []patchOp {
-	var out []patchOp
+// for a call). The value part of the instruction word is rewritten;
+// the opcode half is untouched. Tail words are rewritten in place
+// (the tail is private, and every install loads it whole); base words
+// go to the overlay.
+func (db *DB) retarget(old, new uint32) {
 	top := db.baseTop + uint32(len(db.tail))
 	var in kcmisa.Instr
 	for a := uint32(0); a < top; {
@@ -396,17 +484,12 @@ func (db *DB) retarget(old, new uint32) []patchOp {
 			w := db.codeAt(a)&^word.Word(0xFFFFFFFF) | word.Word(new)
 			if a >= db.baseTop {
 				db.tail[a-db.baseTop] = w
+			} else {
+				db.patches[a] = w
 			}
-			// Every rewrite also lands in the overlay — including tail
-			// words — because Materialize onto an already-synced machine
-			// loads only the tail beyond its frontier; the overlay sweep
-			// is what reaches call sites below it.
-			db.patches[a] = w
-			out = append(out, patchOp{addr: a, w: w})
 		}
 		a += uint32(n)
 	}
-	return out
 }
 
 // entriesSnapshot copies the current entry table; callers hold db.mu.
@@ -416,6 +499,12 @@ func (db *DB) entriesSnapshot() map[term.Indicator]uint32 {
 		out[pi] = a
 	}
 	return out
+}
+
+// patchOp is one overlay word.
+type patchOp struct {
+	addr uint32
+	w    word.Word
 }
 
 // sortedPatches returns the overlay in address order; callers hold

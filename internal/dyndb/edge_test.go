@@ -131,7 +131,7 @@ func TestStoreReloadAndBoundedSolve(t *testing.T) {
 }
 
 // TestMaterializeRejectsForeignFrontier: a machine whose code frontier
-// is outside [baseTop, baseTop+len(tail)] — one booted from some other
+// is not the database's boot frontier — one booted from some other
 // image — cannot take this database's delta.
 func TestMaterializeRejectsForeignFrontier(t *testing.T) {
 	db := mustDB(t, colorSrc)

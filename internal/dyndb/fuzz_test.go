@@ -33,69 +33,97 @@ var fuzzAtoms = [8]string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
 // FuzzAssertRetract drives a random interleaving of assertz, asserta
 // and retract over two predicates and checks, after every mutation,
-// that enumeration matches the model database.
+// that the tail is within the compaction bound and that enumeration
+// matches the model database.
 func FuzzAssertRetract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x04, 0x05})             // assertz then retract on p
 	f.Add([]byte{0x02, 0x0a, 0x12, 0x06, 0x04})       // asserta stack on p, retracts
 	f.Add([]byte{0x01, 0x09, 0x11, 0x19, 0x05, 0x0d}) // q traffic
 	f.Add([]byte{0x38, 0x30, 0x28, 0x20, 0x3c, 0x34})
+	f.Add(compactionSeed())
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 48 {
-			ops = ops[:48] // every op re-verifies a growing chain; cap the walk
+		if len(ops) > 192 {
+			ops = ops[:192] // long enough to cross several compactions
 		}
-		st := mustStore(t, fuzzSrc)
-		model := map[string][]string{"p": nil, "q": nil}
-		for i, op := range ops {
-			pred := "p"
-			if op&1 != 0 {
-				pred = "q"
-			}
-			atom := fuzzAtoms[(op>>3)&7]
-			clause := fmt.Sprintf("%s(%s)", pred, atom)
-			switch (op >> 1) & 3 {
-			case 0, 3: // assertz (3 keeps the op space dense)
-				if err := st.Assertz(pt(t, clause)); err != nil {
-					t.Fatalf("op %d: assertz %s: %v", i, clause, err)
-				}
-				model[pred] = append(model[pred], atom)
-			case 1: // asserta
-				if err := st.Asserta(pt(t, clause)); err != nil {
-					t.Fatalf("op %d: asserta %s: %v", i, clause, err)
-				}
-				model[pred] = append([]string{atom}, model[pred]...)
-			case 2: // retract first occurrence
-				got, err := st.Retract(pt(t, clause))
-				if err != nil {
-					t.Fatalf("op %d: retract %s: %v", i, clause, err)
-				}
-				want := false
-				for j, a := range model[pred] {
-					if a == atom {
-						model[pred] = append(model[pred][:j:j], model[pred][j+1:]...)
-						want = true
-						break
-					}
-				}
-				if got != want {
-					t.Fatalf("op %d: retract %s = %v, model says %v", i, clause, got, want)
-				}
-			}
-			for _, p := range []string{"p", "q"} {
-				want := make([]string, len(model[p]))
-				for j, a := range model[p] {
-					want[j] = "X=" + a
-				}
-				wantSols(t, solve(t, st, p+"(X)", 0), want...)
-			}
-		}
-		// The rule over p/1 tracks too (indexing through a caller).
-		want := make([]string, len(model["p"]))
-		for j, a := range model["p"] {
-			want[j] = "X=" + a
-		}
-		wantSols(t, solve(t, st, "peek(X)", 0), want...)
+		checkAssertRetract(t, ops)
 	})
+}
+
+// compactionSeed keeps a few clauses live on both predicates and then
+// churns assert/retract pairs over them long enough for the tail to be
+// compacted several times.
+func compactionSeed() []byte {
+	ops := []byte{0x00, 0x09, 0x12, 0x1b} // p(a), q(b), asserta p(c), q(d)
+	for i := 0; len(ops) < 180; i++ {
+		atom := byte(4+i%4) << 3
+		ops = append(ops, atom|0x00, atom|0x03, atom|0x04, atom|0x05) // assertz p, asserta q, retract both
+	}
+	return ops
+}
+
+// checkAssertRetract replays one op string against a fresh store and
+// the model, and returns how many compactions the walk crossed.
+func checkAssertRetract(t *testing.T, ops []byte) int {
+	st := mustStore(t, fuzzSrc)
+	model := map[string][]string{"p": nil, "q": nil}
+	compactions, prev := 0, checkTailBound(t, st.DB())
+	for i, op := range ops {
+		pred := "p"
+		if op&1 != 0 {
+			pred = "q"
+		}
+		atom := fuzzAtoms[(op>>3)&7]
+		clause := fmt.Sprintf("%s(%s)", pred, atom)
+		switch (op >> 1) & 3 {
+		case 0, 3: // assertz (3 keeps the op space dense)
+			if err := st.Assertz(pt(t, clause)); err != nil {
+				t.Fatalf("op %d: assertz %s: %v", i, clause, err)
+			}
+			model[pred] = append(model[pred], atom)
+		case 1: // asserta
+			if err := st.Asserta(pt(t, clause)); err != nil {
+				t.Fatalf("op %d: asserta %s: %v", i, clause, err)
+			}
+			model[pred] = append([]string{atom}, model[pred]...)
+		case 2: // retract first occurrence
+			got, err := st.Retract(pt(t, clause))
+			if err != nil {
+				t.Fatalf("op %d: retract %s: %v", i, clause, err)
+			}
+			want := false
+			for j, a := range model[pred] {
+				if a == atom {
+					model[pred] = append(model[pred][:j:j], model[pred][j+1:]...)
+					want = true
+					break
+				}
+			}
+			if got != want {
+				t.Fatalf("op %d: retract %s = %v, model says %v", i, clause, got, want)
+			}
+		}
+		// A mutation appends a block; only a compaction shrinks the tail.
+		tail := checkTailBound(t, st.DB())
+		if tail < prev {
+			compactions++
+		}
+		prev = tail
+		for _, p := range []string{"p", "q"} {
+			want := make([]string, len(model[p]))
+			for j, a := range model[p] {
+				want[j] = "X=" + a
+			}
+			wantSols(t, solve(t, st, p+"(X)", 0), want...)
+		}
+	}
+	// The rule over p/1 tracks too (indexing through a caller).
+	want := make([]string, len(model["p"]))
+	for j, a := range model["p"] {
+		want[j] = "X=" + a
+	}
+	wantSols(t, solve(t, st, "peek(X)", 0), want...)
+	return compactions
 }
 
 // FuzzMalformedClause asserts arbitrary fuzz-built terms into a
@@ -158,4 +186,8 @@ func TestFuzzSeedsAsUnitTests(t *testing.T) {
 	wantSols(t, solve(t, st, "p(X)", 0), "X=b")
 	wantSols(t, solve(t, st, "q(X)", 0), "X=c")
 	wantSols(t, solve(t, st, "peek(X)", 0), "X=b")
+
+	if n := checkAssertRetract(t, compactionSeed()); n < 3 {
+		t.Fatalf("compaction seed crossed %d compactions, want several", n)
+	}
 }

@@ -8,32 +8,6 @@ import (
 	"repro/internal/word"
 )
 
-// change describes one committed mutation as machine operations: the
-// rebuilt block to load, the call sites to patch, and the entry-table
-// edits. A Store applies changes incrementally to its live machine;
-// pooled machines ignore them and resynchronise wholesale through
-// Materialize on version mismatch.
-type change struct {
-	pi          term.Indicator
-	addr        uint32 // new entry address of the rebuilt predicate
-	blockBase   uint32
-	block       []word.Word
-	patches     []patchOp
-	dropEntries []term.Indicator
-	addEntries  []entryOp
-	version     uint64
-}
-
-type patchOp struct {
-	addr uint32
-	w    word.Word
-}
-
-type entryOp struct {
-	pi   term.Indicator
-	addr uint32
-}
-
 // View is a consistent snapshot of a materialised database: the code
 // frontier goal blocks load above, the entry table goals link
 // against, and the version the machine now carries.
@@ -44,21 +18,23 @@ type View struct {
 }
 
 // Materialize installs the database's delta onto a machine sitting at
-// the shared boot frontier: the private tail is loaded above the base
-// (diff-aware — identical words already present from a previous visit
-// of the same tenant cost nothing), the copy-on-write overlay is
-// patched over the base, and the entry table is brought up to date.
+// the shared boot frontier — freshly booted, or rolled back to its
+// boot mark: the whole private tail is loaded above the base
+// (diff-aware — words a previous install left in place cost nothing),
+// the copy-on-write overlay is patched over the base, and the entry
+// table is registered. Compaction keeps the tail within a constant
+// factor of the live blocks, so a full install costs O(live), not
+// O(mutation history). A machine at any other frontier is refused.
 // The returned View is consistent: it reflects exactly the version
 // installed, even if the database mutates concurrently afterwards.
 func (db *DB) Materialize(m *machine.Machine) (View, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	top := m.CodeTop()
-	if top < db.baseTop || uint64(top) > uint64(db.baseTop)+uint64(len(db.tail)) {
-		return View{}, fmt.Errorf("dyndb: machine frontier %d outside [%d,%d], roll back or truncate first",
-			top, db.baseTop, db.baseTop+uint32(len(db.tail)))
+	if top := m.CodeTop(); top != db.baseTop {
+		return View{}, fmt.Errorf("dyndb: machine frontier %d outside the boot frontier %d, roll back first",
+			top, db.baseTop)
 	}
-	if _, err := m.LoadDyn(db.tail[top-db.baseTop:]); err != nil {
+	if _, err := m.LoadDyn(db.tail); err != nil {
 		return View{}, err
 	}
 	for _, p := range db.sortedPatches() {

@@ -13,7 +13,7 @@ import (
 // Store binds one database to one machine: the single-session view of
 // the dynamic database, used by the CLI, the differential tests and
 // anything else that does not need a pooled fleet. Mutations go
-// through the database and are synchronised onto the machine
+// through the database and are installed onto the machine
 // immediately; goals compile into a transient block above the delta
 // and are truncated away before the next mutation or goal.
 //
@@ -22,6 +22,7 @@ import (
 type Store struct {
 	db   *DB
 	m    *machine.Machine
+	boot machine.CodeMark // the machine's boot frontier, restored before each install
 	view View
 }
 
@@ -32,8 +33,8 @@ func NewStore(db *DB, cfg machine.Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{db: db, m: m, view: View{Top: m.CodeTop()}}
-	if err := s.sync(); err != nil {
+	s := &Store{db: db, m: m, boot: m.Snapshot()}
+	if s.view, err = db.Materialize(m); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -47,23 +48,20 @@ func (s *Store) DB() *DB { return s.db }
 // space behind the store's back voids the warranty.
 func (s *Store) Machine() *machine.Machine { return s.m }
 
-// sync brings the machine up to the database's current version: the
-// transient goal block is truncated away, new delta blocks are
-// loaded, call-site patches applied, and entries of replaced blocks
-// unregistered. All writes are diff-aware, so a no-op sync touches
+// sync brings the machine up to the database's current version. At
+// that version already, only the transient goal block is truncated
+// away; otherwise the machine is rolled back to its boot frontier and
+// the whole delta materialised, diff-aware, so unchanged words cost
 // nothing.
 func (s *Store) sync() error {
-	if s.m.CodeTop() > s.view.Top {
+	if s.view.Version == s.db.Version() {
 		s.m.TruncateCode(s.view.Top)
+		return nil
 	}
+	s.m.Rollback(s.boot)
 	v, err := s.db.Materialize(s.m)
 	if err != nil {
 		return err
-	}
-	for pi := range s.view.Entries {
-		if _, live := v.Entries[pi]; !live {
-			s.m.UnregisterPred(pi)
-		}
 	}
 	s.view = v
 	return nil

@@ -20,17 +20,18 @@ import (
 // one immutable base image. The pool keys its machines by that shared
 // base image, so N tenants cost one image and one machine complement,
 // not N of each: BeginDyn leases any pooled machine and makes it the
-// requesting tenant's by rolling back whatever delta the previous
-// occupant left (restoring the boot frontier and patched words) and
-// replaying the tenant's own delta above the base.
+// requesting tenant's by rolling back whatever delta it carries
+// (restoring the boot frontier and patched words) and installing the
+// tenant's whole delta above the base.
 //
-// All delta writes are diff-aware (machine.LoadDyn/PatchDyn skip
-// words already holding their value), so the lease protocol is cheap
-// in the steady state: acquire prefers a machine that last served the
-// same tenant, where an unchanged delta re-install touches nothing
-// and the simulated caches stay warm — and even a tenant switch only
-// rewrites the words where the two deltas actually differ from the
-// base.
+// The database compacts its tail as it mutates, so that install costs
+// O(live clauses) however long the tenant's mutation history; and all
+// delta writes are diff-aware (machine.LoadDyn/PatchDyn skip words
+// already holding their value), so a tenant switch rewrites only the
+// words where the two deltas differ. A machine still carrying the
+// requesting tenant at its current version skips the install
+// altogether — acquire prefers such a machine, whose simulated caches
+// are also warm for the tenant's code.
 
 // dynState tracks what a pooled machine currently carries: the boot
 // mark to roll back to, and the database (with the view version) whose
@@ -61,31 +62,15 @@ func (p *Pool) dynFor(m *machine.Machine) *dynState {
 	return st
 }
 
-// install brings a leased machine to the database's current version:
-// same tenant keeps its delta (dropping only the previous goal block,
-// then topping up any blocks asserted since), any other occupant is
-// rolled back to the boot image first. On error the machine is
-// scrubbed back to its boot state so it can serve the next lease.
+// install brings a leased machine to the database's current version.
+// A machine already carrying this version only drops the previous goal
+// block; any other — another tenant's, or this tenant's at an older
+// version — is rolled back to the boot image and the delta
+// materialised. On error the machine is scrubbed back to its boot
+// state so it can serve the next lease.
 func (p *Pool) install(m *machine.Machine, st *dynState, db *dyndb.DB) error {
-	if st.db == db {
-		if m.CodeTop() > st.view.Top {
-			m.TruncateCode(st.view.Top)
-		}
-		if st.view.Version == db.Version() {
-			return nil
-		}
-		old := st.view.Entries
-		view, err := db.Materialize(m)
-		if err != nil {
-			p.scrub(m, st)
-			return err
-		}
-		for pi := range old {
-			if _, live := view.Entries[pi]; !live {
-				m.UnregisterPred(pi)
-			}
-		}
-		st.view = view
+	if st.db == db && st.view.Version == db.Version() {
+		m.TruncateCode(st.view.Top)
 		return nil
 	}
 	m.Rollback(st.mark)

@@ -58,9 +58,19 @@ func parse(t testing.TB, src string) term.Term {
 // renders X bindings.
 func collect(t testing.TB, p *engine.Pool, db *dyndb.DB, goal string) []string {
 	t.Helper()
-	s, err := p.BeginDyn(context.Background(), db, parse(t, goal))
+	out, err := solutionsX(p, db, parse(t, goal))
 	if err != nil {
-		t.Fatalf("BeginDyn %q: %v", goal, err)
+		t.Fatalf("%q: %v", goal, err)
+	}
+	return out
+}
+
+// solutionsX is collect reporting failures as errors, so client
+// goroutines can call it.
+func solutionsX(p *engine.Pool, db *dyndb.DB, goal term.Term) ([]string, error) {
+	s, err := p.BeginDyn(context.Background(), db, goal)
+	if err != nil {
+		return nil, fmt.Errorf("BeginDyn: %w", err)
 	}
 	defer s.Close()
 	var out []string
@@ -73,9 +83,9 @@ func collect(t testing.TB, p *engine.Pool, db *dyndb.DB, goal string) []string {
 		}
 	}
 	if s.Err() != nil {
-		t.Fatalf("enumerate %q: %v", goal, s.Err())
+		return nil, fmt.Errorf("enumerate: %w", s.Err())
 	}
-	return out
+	return out, nil
 }
 
 func TestTenantIsolation(t *testing.T) {

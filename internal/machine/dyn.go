@@ -9,10 +9,9 @@ import (
 )
 
 // Dynamic-database support. The clause store (internal/dyndb) mutates
-// a machine's code space between queries: rebuilt predicate blocks are
-// appended at CodeTop, call sites of moved predicates are patched in
-// place, and a pooled machine is rolled back to its boot frontier
-// before another tenant's delta is replayed onto it.
+// a machine's code space between queries: a machine is rolled back to
+// its boot frontier, a tenant's code tail is loaded at that frontier,
+// and base call sites of moved predicates are patched in place.
 //
 // All of these writes are untimed: a mutation happens between queries,
 // so it must not charge simulated cycles to anyone's run. Words go
@@ -37,9 +36,6 @@ type CodeMark struct {
 	top   uint32
 	preds map[uint64]uint32
 }
-
-// Top returns the code frontier the mark was taken at.
-func (mk CodeMark) Top() uint32 { return mk.top }
 
 // Snapshot captures the current code frontier and predicate table.
 func (m *Machine) Snapshot() CodeMark {
@@ -103,15 +99,6 @@ func (m *Machine) TruncateCode(top uint32) {
 func (m *Machine) RegisterPred(pi term.Indicator, addr uint32) {
 	idx := m.syms.Intern(pi.Name)
 	m.preds[uint64(idx)<<8|uint64(pi.Arity&0xff)] = addr
-}
-
-// UnregisterPred removes a predicate from the machine's meta-call
-// table (the inverse of RegisterPred): the clause store drops a
-// replaced block's auxiliary entries so call/1 cannot reach dead code.
-func (m *Machine) UnregisterPred(pi term.Indicator) {
-	if idx, ok := m.syms.Lookup(pi.Name); ok {
-		delete(m.preds, uint64(idx)<<8|uint64(pi.Arity&0xff))
-	}
 }
 
 // CodeWordAt reads a loaded code word from the host-side shadow

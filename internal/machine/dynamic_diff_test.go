@@ -6,11 +6,11 @@ package machine_test
 // caller — identical solution sets in identical order, and, once both
 // machines are warm, identical simulated cycle and cache counters.
 // The second half is the strong claim: the assert-built image carries
-// stub blocks and the dead remnants of every per-mutation rebuild,
-// laid out at different addresses than the static image, so equal
-// warm counters mean the dynamic compiler emits the same instruction
-// streams and the memory system's behaviour is layout-independent
-// once everything is cache-resident.
+// stub blocks and, until its tail compacts, the dead remnants of
+// per-mutation rebuilds, laid out at different addresses than the
+// static image, so equal warm counters mean the dynamic compiler emits
+// the same instruction streams and the memory system's behaviour is
+// layout-independent once everything is cache-resident.
 
 import (
 	"context"

@@ -23,8 +23,8 @@ go build ./...
 echo '== go test -race'
 go test -race ./...
 
-echo '== engine pool race tests (plain and traced/profiled)'
-go test -race -run 'TestPoolRace|TestPoolTraceRace' ./internal/engine/
+echo '== engine pool race tests (plain, traced/profiled, tenant churn across tail compactions)'
+go test -race -run 'TestPoolRace|TestPoolTraceRace|TestTenantCompactionRace' ./internal/engine/
 
 echo '== dynamic differential gate (assert-built == statically-compiled, incl. warm counters)'
 go test -count=1 -run 'TestDynamicDifferential' ./internal/machine/
@@ -33,8 +33,8 @@ echo '== dyndb fuzz smoke (assert/retract vs model, malformed-clause rejection)'
 go test -count=1 -run '^$' -fuzz 'FuzzAssertRetract' -fuzztime 5s ./internal/dyndb/
 go test -count=1 -run '^$' -fuzz 'FuzzMalformedClause' -fuzztime 5s ./internal/dyndb/
 
-echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process and across restart)'
-go test -count=1 -run 'TestSuspendResumeByteIdentical|TestWarmStampParity' ./internal/engine/
+echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process, across tail compaction and across restart)'
+go test -count=1 -run 'TestSuspendResumeByteIdentical|TestWarmStampParity|TestTenantSuspendAcrossCompaction' ./internal/engine/
 go test -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDisk' ./internal/server/
 
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
