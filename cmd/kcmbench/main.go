@@ -23,26 +23,16 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/client"
 	"repro/internal/compiler"
-	"repro/internal/engine"
 	"repro/internal/machine"
-	"repro/internal/server"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // predProfile runs one benchmark program under the warm-run protocol
@@ -120,105 +110,8 @@ func hostProfile(name string, heapWords uint32) error {
 	return nil
 }
 
-// serveBench is the kcmd load-generator benchmark (the BENCH_8
-// artifact): an in-process daemon on an ephemeral loopback port,
-// hammered by N concurrent clients with a mix of single-shot queries,
-// session-driven enumerations and NDJSON streams, reporting a
-// latency histogram per op and the daemon's own /v1/stats snapshot.
-func serveBench(clients, queries int, rate float64, poolSize int) error {
-	const listsSrc = `
-app([], L, L).
-app([H|T], L, [H|R]) :- app(T, L, R).
-nrev([], []).
-nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
-member(X, [X|_]).
-member(X, [_|T]) :- member(X, T).
-`
-	queens, ok := bench.ByName("queens")
-	if !ok {
-		return fmt.Errorf("queens program missing from the suite")
-	}
-	srv, err := server.New(server.Config{
-		Programs: map[string]string{
-			"lists":  listsSrc,
-			"queens": queens.Source,
-		},
-		PoolOptions: []engine.PoolOption{
-			engine.WithPoolSize(poolSize),
-		},
-		IdleTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	c := client.New("http://" + l.Addr().String())
-	mix := []client.LoadOp{
-		{Name: "nrev30-single", Kind: client.OpQuery, MinSolutions: 1,
-			Req: wire.QueryRequest{Program: "lists",
-				Goal: "nrev([1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30], R)."}},
-		{Name: "queens6-enum", Kind: client.OpEnumerate, MinSolutions: 4,
-			Req: wire.QueryRequest{Program: "queens", Goal: "queens(6, Qs).", Budget: 200_000}},
-		{Name: "member-stream", Kind: client.OpStream, MinSolutions: 10,
-			Req: wire.QueryRequest{Program: "lists", Goal: "member(X, [1,2,3,4,5,6,7,8,9,10])."}},
-		{Name: "queens7-single", Kind: client.OpQuery, MinSolutions: 1,
-			Req: wire.QueryRequest{Program: "queens", Goal: "queens(7, Qs)."}},
-	}
-	rep, err := client.RunLoad(ctx, c, client.LoadConfig{
-		Clients:          clients,
-		QueriesPerClient: queries,
-		RatePerClient:    rate,
-		Mix:              mix,
-	})
-	if err != nil {
-		return err
-	}
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		return err
-	}
-	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer dcancel()
-	if err := srv.Drain(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("serve exit: %w", err)
-	}
-	out := struct {
-		BenchID  string             `json:"bench_id"`
-		Protocol string             `json:"protocol"`
-		HostCPUs int                `json:"host_cpus"`
-		Load     *client.LoadReport `json:"load"`
-		Server   wire.StatsReply    `json:"server"`
-	}{
-		BenchID: "8",
-		Protocol: "kcmd on an ephemeral loopback port; N concurrent clients round-robin a " +
-			"single-shot/enumerate/stream mix through internal/client (see kcmbench -serve)",
-		HostCPUs: runtime.NumCPU(),
-		Load:     rep,
-		Server:   stats,
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 func main() {
 	table := flag.String("table", "all", "table to regenerate: 1, 2, 3, 4, cache, shallow, deref, trail, all")
-	serve := flag.Bool("serve", false, "run the kcmd load-generator benchmark and print its JSON report")
-	clients := flag.Int("clients", 8, "concurrent clients for -serve")
-	queries := flag.Int("queries", 40, "ops per client for -serve")
-	rate := flag.Float64("rate", 0, "target ops/s per client for -serve (0 = open throttle)")
-	servePool := flag.Int("servepool", 0, "machines per image for -serve (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator to `file`")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the simulator to `file`")
 	hostprofile := flag.String("hostprofile", "", "print the per-opcode host-time profile of one benchmark `program` and exit")
@@ -229,12 +122,6 @@ func main() {
 	fail := func(name string, err error) {
 		fmt.Fprintf(os.Stderr, "kcmbench: %s: %v\n", name, err)
 		os.Exit(1)
-	}
-	if *serve {
-		if err := serveBench(*clients, *queries, *rate, *servePool); err != nil {
-			fail("serve", err)
-		}
-		return
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

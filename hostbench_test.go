@@ -284,3 +284,55 @@ func BenchmarkHostTenantChurn(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHostLease times one layer of a query's path: the lease
+// plus Close on a warm 1-machine pool, with no instruction run.
+// whole-image is Pool.Begin on core.Program.CompileQuery's image, the
+// library and kcmbench path; segment is Pool.BeginGoal of a compiled
+// goal over its program's seed database, the path every kcmd query
+// takes. A segment lease drops the previous goal block, reuses the
+// goal's last link, and reloads the block diff-aware, so a repeat
+// lease writes no code.
+func BenchmarkHostLease(b *testing.B) {
+	nrev, _ := bench.ByName("nrev1")
+	queens, _ := bench.ByName("queens")
+	ctx := context.Background()
+	run := func(b *testing.B, lease func() (*engine.Session, error)) {
+		// One full enumeration warms the machine, as Warm does.
+		s, err := lease()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s.Next(ctx) {
+		}
+		s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, err := lease()
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Close()
+		}
+	}
+	for _, c := range []struct{ name, src, goal string }{
+		{"nrev30", nrev.Source, "list30(L), nrev(L, R)."},
+		{"queens6", queens.Source, "queens(6, Qs)."},
+	} {
+		b.Run("whole-image/"+c.name, func(b *testing.B) {
+			im, err := core.MustLoad(c.src).CompileQuery(c.goal)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := engine.New(engine.WithPoolSize(1))
+			run(b, func() (*engine.Session, error) { return pool.Begin(ctx, im) })
+		})
+		b.Run("segment/"+c.name, func(b *testing.B) {
+			seed := seedOf(b, c.src)
+			g := goalOf(b, seed, c.goal)
+			pool := engine.New(engine.WithPoolSize(1))
+			run(b, func() (*engine.Session, error) { return pool.BeginGoal(ctx, seed, g) })
+		})
+	}
+}

@@ -1,8 +1,7 @@
 // Package client is the Go client for the kcmd query protocol
 // (internal/wire): single-shot queries, session-driven enumeration
 // (next/cancel), NDJSON solution streaming, and the stats endpoint.
-// The load generator (loadgen.go) and the kcmd smoke gate are built
-// on it.
+// The kcmd smoke gate and the server's tests are built on it.
 package client
 
 import (

@@ -19,19 +19,19 @@ func TestAcquireBlocksAndCancels(t *testing.T) {
 	}
 	p := New(WithPoolSize(1))
 
-	m, ip, err := p.acquire(context.Background(), im)
+	m, ip, err := p.acquire(context.Background(), im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := p.acquire(ctx, im); !errors.Is(err, machine.ErrCancelled) {
+	if _, _, err := p.acquire(ctx, im, nil); !errors.Is(err, machine.ErrCancelled) {
 		t.Fatalf("acquire on exhausted pool: %v, want ErrCancelled", err)
 	}
 
 	ip.free <- m
-	m2, _, err := p.acquire(context.Background(), im)
+	m2, _, err := p.acquire(context.Background(), im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

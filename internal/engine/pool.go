@@ -24,6 +24,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dyndb"
 	"repro/internal/machine"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -32,9 +33,8 @@ import (
 // Pool is a fixed-size pool of machines per compiled image. The zero
 // value is not usable; call New.
 type Pool struct {
-	cfg      machine.Config
-	size     int
-	autoWarm bool
+	cfg  machine.Config
+	size int
 
 	mu     sync.Mutex
 	images map[*asm.Image]*imagePool
@@ -46,10 +46,9 @@ type Pool struct {
 // to the pool size, so release never blocks; built (guarded by
 // Pool.mu) counts machines in existence, capping construction.
 type imagePool struct {
-	im     *asm.Image
-	free   chan *machine.Machine
-	built  int
-	warmed bool // WithWarm already ran for this image
+	im    *asm.Image
+	free  chan *machine.Machine
+	built int
 }
 
 // PoolOption configures a Pool at construction. The options mirror
@@ -67,14 +66,6 @@ func WithConfig(cfg machine.Config) PoolOption {
 // GOMAXPROCS(0)).
 func WithPoolSize(n int) PoolOption {
 	return func(p *Pool) { p.size = n }
-}
-
-// WithWarm makes the pool warm each image's full machine complement
-// on its first query (the paper's warm-run protocol), so even the
-// first client-visible query runs on warm simulated caches. Without
-// it, Warm stays available as an explicit call.
-func WithWarm(on bool) PoolOption {
-	return func(p *Pool) { p.autoWarm = on }
 }
 
 // WithProfiling arms pool-wide per-predicate cycle profiling from the
@@ -128,23 +119,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 	st.InUse = st.Built - st.Idle
 	return st
-}
-
-// warmOnce runs Warm for im the first time the pool serves it.
-func (p *Pool) warmOnce(ctx context.Context, im *asm.Image) error {
-	p.mu.Lock()
-	ip := p.images[im]
-	if ip == nil {
-		ip = &imagePool{im: im, free: make(chan *machine.Machine, p.size)}
-		p.images[im] = ip
-	}
-	if ip.warmed {
-		p.mu.Unlock()
-		return nil
-	}
-	ip.warmed = true
-	p.mu.Unlock()
-	return p.Warm(ctx, im)
 }
 
 // EnableProfiling arms per-predicate cycle profiling for the pool:
@@ -207,6 +181,18 @@ func WithBudget(n uint64) Option {
 	return func(o *opts) { o.budget = n }
 }
 
+// budget resolves a session's step budget: n when set, else the pool
+// configuration's MaxSteps, else the machine default.
+func (p *Pool) budget(n uint64) uint64 {
+	if n == 0 {
+		n = p.cfg.MaxSteps
+	}
+	if n == 0 {
+		n = 1_000_000_000
+	}
+	return n
+}
+
 // Query runs a compiled query image to its first solution on a pooled
 // machine: acquire (or build) a warm machine, reset its counters,
 // re-boot it at the image's query entry, run under ctx, read the
@@ -266,7 +252,7 @@ func (p *Pool) Warm(ctx context.Context, im *asm.Image) error {
 		}
 	}()
 	for i := 0; i < p.size; i++ {
-		m, mip, err := p.acquire(ctx, im)
+		m, mip, err := p.acquire(ctx, im, nil)
 		if err != nil {
 			return err
 		}
@@ -325,19 +311,18 @@ func (p *Pool) release(ip *imagePool, m *machine.Machine) {
 
 // acquire returns a machine for im: a free pooled one if available, a
 // newly built one while under the cap, else it blocks until a machine
-// is released or ctx is cancelled.
-func (p *Pool) acquire(ctx context.Context, im *asm.Image) (*machine.Machine, *imagePool, error) {
+// is released or ctx is cancelled. With db set (im is then db's base
+// image) the free machine is chosen by affinity: see pickFree.
+func (p *Pool) acquire(ctx context.Context, im *asm.Image, db *dyndb.DB) (*machine.Machine, *imagePool, error) {
 	p.mu.Lock()
 	ip := p.images[im]
 	if ip == nil {
 		ip = &imagePool{im: im, free: make(chan *machine.Machine, p.size)}
 		p.images[im] = ip
 	}
-	select {
-	case m := <-ip.free:
+	if m := p.pickFree(ip, db); m != nil {
 		p.mu.Unlock()
 		return m, ip, nil
-	default:
 	}
 	if ip.built < p.size {
 		ip.built++
@@ -368,4 +353,42 @@ func (p *Pool) acquire(ctx context.Context, im *asm.Image) (*machine.Machine, *i
 		return nil, nil, fmt.Errorf("engine: %w: waiting for a pooled machine: %w",
 			sentinel, cause)
 	}
+}
+
+// pickFree takes a free machine of ip, or returns nil when none is
+// free. With db set it prefers one that last served db: that
+// machine's delta is already installed and its simulated caches are
+// warm for db's code. The caller holds p.mu, so no other acquirer
+// interleaves with the drain of the free list (at most p.size long).
+func (p *Pool) pickFree(ip *imagePool, db *dyndb.DB) *machine.Machine {
+	if db == nil {
+		select {
+		case m := <-ip.free:
+			return m
+		default:
+			return nil
+		}
+	}
+	var parked []*machine.Machine
+	var pick *machine.Machine
+drain:
+	for {
+		select {
+		case m := <-ip.free:
+			if pick == nil && p.dyn[m] != nil && p.dyn[m].db == db {
+				pick = m
+			} else {
+				parked = append(parked, m)
+			}
+		default:
+			break drain
+		}
+	}
+	if pick == nil && len(parked) > 0 {
+		pick, parked = parked[0], parked[1:]
+	}
+	for _, m := range parked {
+		ip.free <- m
+	}
+	return pick
 }

@@ -82,26 +82,14 @@ func (p *Pool) Begin(ctx context.Context, im *asm.Image, options ...Option) (*Se
 	if !ok {
 		return nil, fmt.Errorf("engine: image has no query entry point")
 	}
-	budget := o.budget
-	if budget == 0 {
-		budget = p.cfg.MaxSteps
-	}
-	if budget == 0 {
-		budget = 1_000_000_000
-	}
-	if p.autoWarm {
-		if err := p.warmOnce(ctx, im); err != nil {
-			return nil, err
-		}
-	}
-	m, ip, err := p.acquire(ctx, im)
+	m, ip, err := p.acquire(ctx, im, nil)
 	if err != nil {
 		return nil, err
 	}
 	m.Reset() // also clears any fault a previous query left behind
 	m.SetOut(o.out)
 	m.Begin(entry)
-	return &Session{p: p, ip: ip, m: m, im: im, budget: budget}, nil
+	return &Session{p: p, ip: ip, m: m, im: im, budget: p.budget(o.budget)}, nil
 }
 
 // SetBudget replaces the per-slice step budget for subsequent Next

@@ -147,8 +147,8 @@ func TestSessionSetBudget(t *testing.T) {
 	}
 }
 
-// TestPoolOptions: New's functional options mirror core — pool size,
-// profiling, and auto-warm.
+// TestPoolOptions: New's functional options mirror core — pool size
+// and profiling — and an explicit Warm builds the full complement.
 func TestPoolOptions(t *testing.T) {
 	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5], R).")
 
@@ -156,16 +156,18 @@ func TestPoolOptions(t *testing.T) {
 		engine.WithConfig(machine.Config{}),
 		engine.WithPoolSize(2),
 		engine.WithProfiling(true),
-		engine.WithWarm(true),
 	)
 	if pool.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", pool.Size())
+	}
+	if err := pool.Warm(context.Background(), im); err != nil {
+		t.Fatal(err)
 	}
 	sol, err := pool.Query(context.Background(), im)
 	if err != nil || !sol.Success {
 		t.Fatalf("query: %v %v", err, sol)
 	}
-	// WithWarm built and warmed the full complement before the query.
+	// Warm built and warmed the full complement before the query.
 	if st := pool.Stats(); st.Built != 2 || st.InUse != 0 {
 		t.Fatalf("after warm+query: %+v, want 2 built, 0 in use", st)
 	}

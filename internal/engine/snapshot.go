@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/asm"
-	"repro/internal/compiler"
 	"repro/internal/dyndb"
 	"repro/internal/machine"
 	"repro/internal/snapshot"
@@ -21,9 +20,9 @@ import (
 //
 // The blob embeds, besides the machine state, a small session block
 // (enumeration phase, solutions delivered, step budget) and — for
-// tenant sessions — the dynamic database version the installed delta
+// database sessions — the dynamic database version the installed delta
 // was materialized from. Resume re-creates the code environment the
-// same way Begin/BeginDyn would (same image, same delta install, same
+// same way Begin/BeginGoal would (same image, same delta install, same
 // goal block at the same frontier) and then proves it got the same
 // bytes via the blob's image hash before any state is restored.
 
@@ -51,7 +50,7 @@ const (
 )
 
 // Suspend serializes the session — machine state, enumeration phase,
-// delivered count, budget, and the tenant delta version if any — into
+// delivered count, budget, and the database delta version if any — into
 // a snapshot blob and closes the session, releasing its machine back
 // to the pool. The enumeration must still be live: mid-stream after a
 // solution, budget-suspended, or not yet started. The blob can be
@@ -75,9 +74,9 @@ func (s *Session) Suspend() ([]byte, error) {
 	}
 	st.SessDelivered = uint64(s.delivered)
 	st.SessBudget = s.budget
-	// Tenant sessions record which delta version the machine's code
+	// Database sessions record which delta version the machine's code
 	// was materialized from, offset by one so zero stays unambiguously
-	// "static image, no delta".
+	// "whole image, no delta".
 	s.p.mu.Lock()
 	ds := s.p.dyn[s.m]
 	s.p.mu.Unlock()
@@ -90,125 +89,111 @@ func (s *Session) Suspend() ([]byte, error) {
 	return blob, nil
 }
 
-// sessionFromBlob builds the resumed Session once the machine has been
-// restored.
-func sessionFromBlob(p *Pool, ip *imagePool, m *machine.Machine, im *asm.Image, st *snapshot.State, o *opts) *Session {
-	budget := st.SessBudget
-	if o.budget > 0 {
-		budget = o.budget
+// decodeSession decodes a parked session's blob, refusing a bare
+// machine capture.
+func decodeSession(blob []byte) (*snapshot.State, error) {
+	st, err := snapshot.Decode(blob)
+	if err != nil {
+		return nil, err
 	}
-	if budget == 0 {
-		budget = 1_000_000_000
+	if st.SessState == 0 {
+		return nil, ErrNoSession
+	}
+	return st, nil
+}
+
+// restore lands a parked session's machine state on a leased machine
+// whose code environment has been rebuilt, and returns the resumed
+// session. On error the machine is released.
+func (p *Pool) restore(ip *imagePool, m *machine.Machine, im *asm.Image, st *snapshot.State, o *opts) (*Session, error) {
+	m.SetOut(o.out)
+	if err := m.Restore(st); err != nil {
+		p.release(ip, m)
+		return nil, err
+	}
+	if o.budget == 0 {
+		o.budget = st.SessBudget
 	}
 	state := sessRun
 	if st.SessState == blobSessRedo {
 		state = sessRedo
 	}
 	return &Session{
-		p: p, ip: ip, m: m, im: im, budget: budget,
+		p: p, ip: ip, m: m, im: im, budget: p.budget(o.budget),
 		delivered: int(st.SessDelivered),
 		state:     state,
-	}
+	}, nil
 }
 
-// Resume restores a suspended static-image session from a blob onto a
+// Resume restores a suspended whole-image session from a blob onto a
 // pooled machine of im. The image must be the same compile the session
 // was suspended from (the blob's content hash proves it); blobs parked
-// from tenant sessions are rejected — use ResumeDyn. Options may
+// from database sessions are rejected — use ResumeDyn. Options may
 // override the parked step budget and output writer.
 func (p *Pool) Resume(ctx context.Context, im *asm.Image, blob []byte, options ...Option) (*Session, error) {
 	var o opts
 	for _, opt := range options {
 		opt(&o)
 	}
-	st, err := snapshot.Decode(blob)
+	st, err := decodeSession(blob)
 	if err != nil {
 		return nil, err
 	}
-	if st.SessState == 0 {
-		return nil, ErrNoSession
-	}
 	if st.DeltaVersion != 0 {
-		return nil, fmt.Errorf("engine: snapshot carries a tenant delta; resume it with ResumeDyn")
+		return nil, fmt.Errorf("engine: snapshot carries a database delta; resume it with ResumeDyn")
 	}
-	m, ip, err := p.acquire(ctx, im)
+	m, ip, err := p.acquire(ctx, im, nil)
 	if err != nil {
 		return nil, err
 	}
 	m.Reset()
-	m.SetOut(o.out)
-	if err := m.Restore(st); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	return sessionFromBlob(p, ip, m, im, st, &o), nil
+	return p.restore(ip, m, im, st, &o)
 }
 
-// ResumeDyn restores a suspended tenant session: the goal is
-// recompiled and the tenant's delta re-installed exactly as BeginDyn
-// would, the blob's image hash proves the reconstruction reproduced
-// the code the session ran against, and the machine state is restored
-// on top. The database must still be at the version the blob was
-// parked from — any assert, retract, reload or rollback since makes
-// the parked delta stale and the resume fails with ErrStaleDelta.
+// ResumeDyn restores a suspended database session: the goal is
+// recompiled and the database's delta re-installed exactly as
+// BeginGoal would, the blob's image hash proves the reconstruction
+// reproduced the code the session ran against, and the machine state
+// is restored on top. The database must still be at the version the
+// blob was parked from — any assert, retract, reload or rollback since
+// makes the parked delta stale and the resume fails with
+// ErrStaleDelta. A blob parked from a whole image (Begin) carries no
+// delta and is refused with machine.ErrImageMismatch.
 func (p *Pool) ResumeDyn(ctx context.Context, db *dyndb.DB, goal term.Term, blob []byte, options ...Option) (*Session, error) {
 	var o opts
 	for _, opt := range options {
 		opt(&o)
 	}
-	st, err := snapshot.Decode(blob)
+	st, err := decodeSession(blob)
 	if err != nil {
 		return nil, err
 	}
-	if st.SessState == 0 {
-		return nil, ErrNoSession
-	}
 	if st.DeltaVersion == 0 {
-		return nil, fmt.Errorf("engine: snapshot carries no tenant delta; resume it with Resume")
+		return nil, fmt.Errorf("%w: snapshot parked from a whole image carries no database delta",
+			machine.ErrImageMismatch)
 	}
 	if got := db.Version(); st.DeltaVersion-1 != got {
 		return nil, fmt.Errorf("%w: snapshot at version %d, database now %d",
 			ErrStaleDelta, st.DeltaVersion-1, got)
 	}
-	c := compiler.New(db.Syms())
-	mod, err := c.CompileGoal(goal)
+	g, err := CompileGoal(db.Syms(), goal)
 	if err != nil {
 		return nil, err
 	}
-	m, ip, err := p.acquireDyn(ctx, db)
+	m, ip, err := p.acquire(ctx, db.Image(), db)
 	if err != nil {
 		return nil, err
 	}
-	ds := p.dynFor(m)
-	m.Reset()
-	if err := p.install(m, ds, db); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	if ds.view.Top != st.DeltaTop {
+	qim, top, err := p.load(m, db, g)
+	if err == nil && top != st.DeltaTop {
 		// Same version but a different frontier can only mean the
 		// database object is not the one the blob was parked from.
-		p.release(ip, m)
-		return nil, fmt.Errorf("%w: snapshot delta frontier %d, database view %d",
-			ErrStaleDelta, st.DeltaTop, ds.view.Top)
+		err = fmt.Errorf("%w: snapshot delta frontier %d, database view %d",
+			ErrStaleDelta, st.DeltaTop, top)
 	}
-	qim, err := asm.LinkAt(mod, m.CodeTop(), ds.view.Entries)
 	if err != nil {
 		p.release(ip, m)
 		return nil, err
 	}
-	if _, err := m.LoadDyn(qim.Code); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	m.SetOut(o.out)
-	if err := m.Restore(st); err != nil {
-		// The machine is consistent (delta installed, goal loaded) —
-		// only the restore was refused; scrub the transient goal block
-		// and return it to the pool.
-		m.TruncateCode(ds.view.Top)
-		p.release(ip, m)
-		return nil, err
-	}
-	return sessionFromBlob(p, ip, m, qim, st, &o), nil
+	return p.restore(ip, m, qim, st, &o)
 }

@@ -2,36 +2,36 @@ package engine
 
 import (
 	"context"
-	"errors"
-	"fmt"
+	"sync/atomic"
 
 	"repro/internal/asm"
 	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/dyndb"
 	"repro/internal/machine"
 	"repro/internal/term"
 )
 
-// Tenant-keyed leases: copy-on-write image sharing over the pool.
+// Database leases: copy-on-write image sharing over the pool.
 //
-// Every tenant's dynamic database (internal/dyndb) layers a private
-// delta — rebuilt predicate blocks plus retargeted call sites — above
-// one immutable base image. The pool keys its machines by that shared
-// base image, so N tenants cost one image and one machine complement,
-// not N of each: BeginDyn leases any pooled machine and makes it the
-// requesting tenant's by rolling back whatever delta it carries
-// (restoring the boot frontier and patched words) and installing the
-// tenant's whole delta above the base.
+// Every dynamic database (internal/dyndb) — a program's seed and each
+// tenant's clone of it — layers a private delta (rebuilt predicate
+// blocks plus retargeted call sites) above one immutable base image.
+// The pool keys its machines by that shared base image, so a program
+// costs one image and one machine complement however many databases
+// and goals it serves: BeginGoal leases any pooled machine and makes
+// it the requesting database's by rolling back whatever delta it
+// carries (restoring the boot frontier and patched words) and
+// installing the database's whole delta above the base. The goal
+// itself is a small block linked and loaded above that view.
 //
 // The database compacts its tail as it mutates, so that install costs
-// O(live clauses) however long the tenant's mutation history; and all
-// delta writes are diff-aware (machine.LoadDyn/PatchDyn skip words
-// already holding their value), so a tenant switch rewrites only the
-// words where the two deltas differ. A machine still carrying the
-// requesting tenant at its current version skips the install
-// altogether — acquire prefers such a machine, whose simulated caches
-// are also warm for the tenant's code.
+// O(live clauses) however long the database's mutation history; and
+// all delta writes are diff-aware (machine.LoadDyn/PatchDyn skip words
+// already holding their value), so a switch rewrites only the words
+// where the two deltas differ. A machine still carrying the requesting
+// database at its current version skips the install altogether —
+// acquire prefers such a machine, whose simulated caches are also warm
+// for the database's code.
 
 // dynState tracks what a pooled machine currently carries: the boot
 // mark to roll back to, and the database (with the view version) whose
@@ -45,9 +45,9 @@ type dynState struct {
 
 // dynFor returns (creating on first lease) the machine's dynState.
 // The machine must be leased by the caller, and must sit at its boot
-// frontier on first call — both guaranteed by acquireDyn, which
-// creates states for machines it builds and for fault replacements
-// (built by release at the boot frontier).
+// frontier on first call. Both hold: acquire builds machines and
+// release builds fault replacements at the boot frontier, and Begin
+// never loads above a base image, which has no query entry.
 func (p *Pool) dynFor(m *machine.Machine) *dynState {
 	p.mu.Lock()
 	st := p.dyn[m]
@@ -64,7 +64,7 @@ func (p *Pool) dynFor(m *machine.Machine) *dynState {
 
 // install brings a leased machine to the database's current version.
 // A machine already carrying this version only drops the previous goal
-// block; any other — another tenant's, or this tenant's at an older
+// block; any other — another database's, or this one's at an older
 // version — is rolled back to the boot image and the delta
 // materialised. On error the machine is scrubbed back to its boot
 // state so it can serve the next lease.
@@ -84,159 +84,113 @@ func (p *Pool) install(m *machine.Machine, st *dynState, db *dyndb.DB) error {
 }
 
 // scrub returns a machine whose install failed midway to the boot
-// image, forgetting the tenant association.
+// image, forgetting the database association.
 func (p *Pool) scrub(m *machine.Machine, st *dynState) {
 	m.Rollback(st.mark)
 	st.db = nil
 	st.view = dyndb.View{}
 }
 
-// BeginDyn leases a pooled machine for one tenant's query: the goal is
-// compiled and linked against the tenant's current entry table, the
-// tenant's delta is installed over the shared base image, and the goal
-// block is loaded transiently above it. The returned session behaves
-// exactly like Begin's — enumerate, suspend on budget, resume, Close
-// to release — and Close leaves the delta in place, so the next lease
-// of the same tenant on that machine reuses it for free.
-func (p *Pool) BeginDyn(ctx context.Context, db *dyndb.DB, goal term.Term, options ...Option) (*Session, error) {
+// Goal is a query goal compiled once into a position-independent
+// module: its $query/0 clause and control auxiliaries, with calls into
+// the program left symbolic. One Goal serves every database over the
+// program's base image — the seed and its clones share the symbol
+// table the goal was compiled against, and linking never mutates the
+// module. A Goal is safe for concurrent use.
+type Goal struct {
+	mod  *compiler.Module
+	last atomic.Pointer[goalLink]
+}
+
+// goalLink is a Goal's block as last linked. A view's code frontier
+// and entry table are fixed by its database and version (every
+// mutation, compaction included, advances the version), so the block
+// serves any lease whose installed view has the same two.
+type goalLink struct {
+	db      *dyndb.DB
+	version uint64
+	im      *asm.Image
+}
+
+// CompileGoal compiles goal against syms, the symbol table of the
+// databases it will run over (dyndb.DB.Syms).
+func CompileGoal(syms *term.SymTab, goal term.Term) (*Goal, error) {
+	mod, err := compiler.New(syms).CompileGoal(goal)
+	if err != nil {
+		return nil, err
+	}
+	return &Goal{mod: mod}, nil
+}
+
+// link returns the goal's block linked above db's view, relinking only
+// when the view differs from the last one linked against.
+func (g *Goal) link(db *dyndb.DB, view dyndb.View) (*asm.Image, error) {
+	if l := g.last.Load(); l != nil && l.db == db && l.version == view.Version {
+		return l.im, nil
+	}
+	im, err := asm.LinkAt(g.mod, view.Top, view.Entries)
+	if err != nil {
+		return nil, err
+	}
+	g.last.Store(&goalLink{db: db, version: view.Version, im: im})
+	return im, nil
+}
+
+// load makes a leased machine carry db's current view with g's block
+// loaded transiently above it, and returns the block and the view's
+// frontier. The block links against the view's consistent entry table,
+// not the live database, which may be mutating concurrently. The
+// counters are reset after the load, so its untimed code writes are
+// not charged to the query. On error the machine is still fit for
+// release.
+func (p *Pool) load(m *machine.Machine, db *dyndb.DB, g *Goal) (*asm.Image, uint32, error) {
+	st := p.dynFor(m)
+	if err := p.install(m, st, db); err != nil {
+		return nil, 0, err
+	}
+	qim, err := g.link(db, st.view)
+	if err != nil {
+		return nil, 0, err
+	}
+	if _, err := m.LoadDyn(qim.Code); err != nil {
+		return nil, 0, err
+	}
+	m.Reset()
+	return qim, st.view.Top, nil
+}
+
+// BeginGoal leases a pooled machine for one query of g over db: db's
+// delta is installed over the shared base image and g's block loaded
+// above it. The returned session behaves exactly like Begin's —
+// enumerate, suspend on budget, resume, Close to release — and Close
+// leaves the delta in place, so the next lease of the same database on
+// that machine reuses it for free.
+func (p *Pool) BeginGoal(ctx context.Context, db *dyndb.DB, g *Goal, options ...Option) (*Session, error) {
 	var o opts
 	for _, opt := range options {
 		opt(&o)
 	}
-	budget := o.budget
-	if budget == 0 {
-		budget = p.cfg.MaxSteps
-	}
-	if budget == 0 {
-		budget = 1_000_000_000
-	}
-	c := compiler.New(db.Syms())
-	mod, err := c.CompileGoal(goal)
+	m, ip, err := p.acquire(ctx, db.Image(), db)
 	if err != nil {
 		return nil, err
 	}
-	m, ip, err := p.acquireDyn(ctx, db)
+	qim, _, err := p.load(m, db, g)
 	if err != nil {
-		return nil, err
-	}
-	st := p.dynFor(m)
-	m.Reset()
-	if err := p.install(m, st, db); err != nil {
 		p.release(ip, m)
 		return nil, err
-	}
-	// Link the goal against the view's consistent entry table (not the
-	// live database, which may be mutating concurrently) and load it as
-	// the transient block above the delta.
-	qim, err := asm.LinkAt(mod, m.CodeTop(), st.view.Entries)
-	if err != nil {
-		p.release(ip, m) // machine is consistent at the delta frontier
-		return nil, err
-	}
-	if _, err := m.LoadDyn(qim.Code); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	entry, ok := qim.Entries[compiler.QueryPI]
-	if !ok {
-		p.release(ip, m)
-		return nil, fmt.Errorf("engine: goal block has no query entry point")
 	}
 	m.SetOut(o.out)
-	m.Begin(entry)
-	return &Session{p: p, ip: ip, m: m, im: qim, budget: budget}, nil
+	m.Begin(qim.Entries[compiler.QueryPI])
+	return &Session{p: p, ip: ip, m: m, im: qim, budget: p.budget(o.budget)}, nil
 }
 
-// QueryDyn runs a tenant goal to its first solution, the BeginDyn
-// analogue of Query.
-func (p *Pool) QueryDyn(ctx context.Context, db *dyndb.DB, goal term.Term, options ...Option) (*core.Solution, error) {
-	s, err := p.BeginDyn(ctx, db, goal, options...)
+// BeginDyn compiles goal against db's symbol table and leases it with
+// BeginGoal. A caller running one goal text repeatedly compiles it
+// once with CompileGoal instead.
+func (p *Pool) BeginDyn(ctx context.Context, db *dyndb.DB, goal term.Term, options ...Option) (*Session, error) {
+	g, err := CompileGoal(db.Syms(), goal)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	if s.Next(ctx) {
-		return s.Solution(), nil
-	}
-	if s.Err() != nil {
-		return nil, s.Err()
-	}
-	if s.Suspended() {
-		return nil, fmt.Errorf("engine: %w: query exceeded %d steps",
-			machine.ErrStepBudget, s.budget)
-	}
-	return s.Solution(), nil
-}
-
-// acquireDyn is acquire with tenant affinity: among the free machines
-// of the database's base image it prefers one that last served this
-// same database (its delta is already installed and its simulated
-// caches are warm for this tenant's code). With no affine machine
-// free it behaves like acquire — any free machine, else build under
-// the cap, else block.
-func (p *Pool) acquireDyn(ctx context.Context, db *dyndb.DB) (*machine.Machine, *imagePool, error) {
-	im := db.Image()
-	p.mu.Lock()
-	ip := p.images[im]
-	if ip == nil {
-		ip = &imagePool{im: im, free: make(chan *machine.Machine, p.size)}
-		p.images[im] = ip
-	}
-	// Drain the free list, pick the best candidate, park the rest
-	// back. The list is at most p.size long and this runs under p.mu,
-	// so no other acquirer interleaves.
-	var parked []*machine.Machine
-	var pick *machine.Machine
-drain:
-	for {
-		select {
-		case m := <-ip.free:
-			if pick == nil && p.dyn[m] != nil && p.dyn[m].db == db {
-				pick = m
-			} else {
-				parked = append(parked, m)
-			}
-		default:
-			break drain
-		}
-	}
-	if pick == nil && len(parked) > 0 {
-		pick, parked = parked[0], parked[1:]
-	}
-	for _, m := range parked {
-		ip.free <- m
-	}
-	if pick != nil {
-		p.mu.Unlock()
-		return pick, ip, nil
-	}
-	if ip.built < p.size {
-		ip.built++
-		p.mu.Unlock()
-		m, err := machine.New(im, p.cfg)
-		if err != nil {
-			p.mu.Lock()
-			ip.built--
-			p.mu.Unlock()
-			return nil, nil, err
-		}
-		return m, ip, nil
-	}
-	p.mu.Unlock()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case m := <-ip.free:
-		return m, ip, nil
-	case <-done:
-		cause := ctx.Err()
-		sentinel := machine.ErrCancelled
-		if errors.Is(cause, context.DeadlineExceeded) {
-			sentinel = machine.ErrDeadline
-		}
-		return nil, nil, fmt.Errorf("engine: %w: waiting for a pooled machine: %w",
-			sentinel, cause)
-	}
+	return p.BeginGoal(ctx, db, g, options...)
 }

@@ -370,3 +370,20 @@ func TestTenantRace(t *testing.T) {
 		t.Fatalf("InUse=%d after drain, want 0", st.InUse)
 	}
 }
+
+// TestMetaCallOnBaseImage: call/1 reaches every predicate of a machine
+// built from a base image, whatever the symbol table held when the
+// machine was built. Compiling a base image interns no predicate
+// names, and a goal that only calls app/3 does not intern it either,
+// so the meta-call table must not depend on interned names: the second
+// lease here, on the machine the first one built, meta-calls app/3.
+func TestMetaCallOnBaseImage(t *testing.T) {
+	seed := seedDB(t, tenantSrc)
+	pool := engine.New(engine.WithPoolSize(1))
+	if got := collect(t, pool, seed, "app([a], [], X)"); strings.Join(got, " ") != "[a]" {
+		t.Fatalf("direct call: %v, want [[a]]", got)
+	}
+	if got := collect(t, pool, seed, "call(app([a], [b], X))"); strings.Join(got, " ") != "[a,b]" {
+		t.Fatalf("meta-call: %v, want [[a,b]]", got)
+	}
+}

@@ -279,7 +279,7 @@ func (m *Machine) biCall() {
 		m.errf("call/1: %v is not callable", g)
 		return
 	}
-	entry, ok := m.preds[uint64(atom)<<8|uint64(arity)]
+	entry, ok := m.preds[term.Indicator{Name: m.syms.Name(atom), Arity: arity}]
 	if !ok {
 		m.errf("call/1: undefined predicate %v/%d", m.syms.Name(atom), arity)
 		return

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/analysis"
 	"repro/internal/term"
@@ -34,19 +35,12 @@ import (
 // point (dropping any code loaded and predicates registered since).
 type CodeMark struct {
 	top   uint32
-	preds map[uint64]uint32
+	preds map[term.Indicator]uint32
 }
 
 // Snapshot captures the current code frontier and predicate table.
 func (m *Machine) Snapshot() CodeMark {
-	mk := CodeMark{
-		top:   m.codeTop,
-		preds: make(map[uint64]uint32, len(m.preds)),
-	}
-	for k, a := range m.preds {
-		mk.preds[k] = a
-	}
-	return mk
+	return CodeMark{top: m.codeTop, preds: maps.Clone(m.preds)}
 }
 
 // Rollback returns the machine to a snapshot: the code frontier drops
@@ -71,10 +65,7 @@ func (m *Machine) Rollback(mk CodeMark) {
 	m.flushDyn()
 	m.codeTop = mk.top
 	m.growPredecode(m.codeTop)
-	m.preds = make(map[uint64]uint32, len(mk.preds))
-	for k, a := range mk.preds {
-		m.preds[k] = a
-	}
+	m.preds = maps.Clone(mk.preds)
 }
 
 // TruncateCode drops the code above top without touching the
@@ -97,8 +88,7 @@ func (m *Machine) TruncateCode(top uint32) {
 // making it callable through the call/1 escape. Incrementally loaded
 // code belongs to no predicate until registered.
 func (m *Machine) RegisterPred(pi term.Indicator, addr uint32) {
-	idx := m.syms.Intern(pi.Name)
-	m.preds[uint64(idx)<<8|uint64(pi.Arity&0xff)] = addr
+	m.preds[pi] = addr
 }
 
 // CodeWordAt reads a loaded code word from the host-side shadow

@@ -10,6 +10,7 @@ package machine
 import (
 	"fmt"
 	"io"
+	"maps"
 
 	"repro/internal/asm"
 	"repro/internal/cache"
@@ -298,8 +299,10 @@ type Machine struct {
 	pdecResidentOK bool
 
 	// preds is the runtime predicate table for the meta-call escape:
-	// (atom index, arity) -> code entry.
-	preds map[uint64]uint32
+	// predicate indicator -> code entry. It is keyed by name, not atom
+	// index, so an entry never depends on which atoms happened to be
+	// interned when the machine was built.
+	preds map[term.Indicator]uint32
 
 	// codeShadow is a host-side copy of the code space (shadow.go):
 	// untimed reads for the dynamic-database diff, image hashing and
@@ -371,12 +374,7 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 		m.hostProf = &hostProfiler{}
 	}
 	m.fetch = m.fetchCode
-	m.preds = map[uint64]uint32{}
-	for pi, a := range im.Entries {
-		if idx, ok := im.Syms.Lookup(pi.Name); ok {
-			m.preds[uint64(idx)<<8|uint64(pi.Arity)] = a
-		}
-	}
+	m.preds = maps.Clone(im.Entries)
 	m.phys = mem.New(cfg.MemWords)
 	// The two address spaces draw physical frames from one pool.
 	frames := mmu.NewFrameAlloc(m.phys)

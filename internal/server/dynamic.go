@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dyndb"
 	"repro/internal/engine"
 	"repro/internal/machine"
@@ -15,104 +16,137 @@ import (
 	"repro/internal/wire"
 )
 
-// Multi-tenant dynamic databases. Each program lazily compiles one
-// shared base image (static predicates compiled, dynamic predicates
-// as stubs) and one seed database holding the source's initial
-// dynamic clauses; every tenant name clones the seed into a private
-// copy-on-write delta. Thousands of tenants therefore share one boot
-// image and one machine complement — only the clauses a tenant
-// asserts are its own.
+// Every request runs against a dynamic database over its program's one
+// base image (static predicates compiled, dynamic predicates as
+// stubs). A tenantless request runs against the program's seed: the
+// base image plus the source's initial dynamic clauses, never mutated.
+// Every tenant name clones the seed into a private copy-on-write
+// delta. Thousands of tenants therefore share one boot image and one
+// machine complement — only the clauses a tenant asserts are its own.
+// Each goal is compiled once into a position-independent block
+// (engine.Goal) that any lease links and loads above its machine's
+// installed view.
 
-// dynProg is one program's dynamic serving state.
+// dynProg is one served program's state, built once in New.
 type dynProg struct {
 	seed    *dyndb.DB
-	tenants map[string]*dyndb.DB
+	tenants map[string]*dyndb.DB // guarded by Server.dynMu
 }
 
-// dynFor returns (building on first use) the program's dynamic state.
-// Building compiles the base image, which mutates the program's
-// symbol table — serialized with the static image compiles via imgMu.
-func (s *Server) dynFor(program string) (*dynProg, error) {
-	program, prog, err := s.resolveProgram(program)
+// loadProgram compiles a program's base image and seeds the database
+// its tenantless requests run against.
+func loadProgram(src string) (*dynProg, error) {
+	prog, err := core.Load(src)
 	if err != nil {
 		return nil, err
 	}
-	s.dynMu.Lock()
-	defer s.dynMu.Unlock()
-	if dp, ok := s.dynProgs[program]; ok {
-		return dp, nil
-	}
-	s.imgMu.Lock()
 	im, ds, err := prog.BaseImage()
-	s.imgMu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("program %q: %w", program, err)
+		return nil, err
 	}
 	seed, err := dyndb.New(im, ds.Order)
 	if err != nil {
-		return nil, fmt.Errorf("program %q: %w", program, err)
+		return nil, err
 	}
 	for _, pi := range ds.Order {
 		if cls := ds.Clauses[pi]; len(cls) > 0 {
 			if _, err := seed.Reload(pi, cls); err != nil {
-				return nil, fmt.Errorf("program %q: seeding %v: %w", program, pi, err)
+				return nil, fmt.Errorf("seeding %v: %w", pi, err)
 			}
 		}
 	}
-	dp := &dynProg{seed: seed, tenants: map[string]*dyndb.DB{}}
-	s.dynProgs[program] = dp
-	return dp, nil
+	return &dynProg{seed: seed, tenants: map[string]*dyndb.DB{}}, nil
 }
 
-// tenantDB returns the tenant's database, cloning the program seed on
-// first sight of the tenant name.
-func (s *Server) tenantDB(program, tenant string) (*dyndb.DB, error) {
-	dp, err := s.dynFor(program)
+// database resolves a request's program and returns the database the
+// request runs against: the program's seed when tenant is empty, else
+// the tenant's clone of the seed, made on first sight of the name.
+func (s *Server) database(program, tenant string) (string, *dyndb.DB, error) {
+	name, prog, err := s.resolveProgram(program)
 	if err != nil {
-		return nil, err
+		return "", nil, err
+	}
+	if tenant == "" {
+		return name, prog.seed, nil
 	}
 	s.dynMu.Lock()
 	defer s.dynMu.Unlock()
-	db, ok := dp.tenants[tenant]
+	db, ok := prog.tenants[tenant]
 	if !ok {
-		db = dp.seed.Clone()
-		dp.tenants[tenant] = db
+		db = prog.seed.Clone()
+		prog.tenants[tenant] = db
 	}
-	return db, nil
+	return name, db, nil
 }
 
-// tenantCount is the live database count across programs, for stats.
+// tenantCount is the live tenant database count across programs, for
+// stats.
 func (s *Server) tenantCount() int {
 	s.dynMu.Lock()
 	defer s.dynMu.Unlock()
 	n := 0
-	for _, dp := range s.dynProgs {
-		n += len(dp.tenants)
+	for _, prog := range s.progs {
+		n += len(prog.tenants)
 	}
 	return n
 }
 
-// begin leases a session for one query request: the compile-once
-// image pool for static requests, the tenant's dynamic database for
-// requests naming a tenant.
-func (s *Server) begin(ctx context.Context, req wire.QueryRequest) (*engine.Session, error) {
-	budget := engine.WithBudget(s.clampBudget(req.Budget))
-	if req.Tenant == "" {
-		im, err := s.image(req.Program, req.Goal)
-		if err != nil {
-			return nil, err
+// maxGoals bounds the compiled-goal cache, so a client varying goal
+// text cannot grow the daemon without bound. A cached goal holds its
+// compiled module and last linked block, about 11 KB for nrev of a
+// 30-element list, so goals of that size fill the cache at ~11 MB.
+const maxGoals = 1024
+
+// goalKey identifies one compiled goal: a goal text against a named
+// program.
+type goalKey struct {
+	program string
+	goal    string
+}
+
+// goal returns the compiled goal for text over db's program, compiling
+// it on first sight. At the bound one arbitrary entry is evicted;
+// compile errors are not cached. The compile runs under goalMu: a
+// first sight costs tens of microseconds, and only lookups arriving
+// meanwhile wait for it.
+func (s *Server) goal(program string, db *dyndb.DB, text string) (*engine.Goal, error) {
+	key := goalKey{program: program, goal: text}
+	s.goalMu.Lock()
+	defer s.goalMu.Unlock()
+	if g, ok := s.goals[key]; ok {
+		return g, nil
+	}
+	t, err := parseGoal(text)
+	if err != nil {
+		return nil, err
+	}
+	// The seed and its clones share one symbol table, so the goal
+	// serves every database of the program.
+	g, err := engine.CompileGoal(db.Syms(), t)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.goals) >= maxGoals {
+		for k := range s.goals {
+			delete(s.goals, k)
+			break
 		}
-		return s.pool.Begin(ctx, im, budget)
 	}
-	db, err := s.tenantDB(req.Program, req.Tenant)
+	s.goals[key] = g
+	return g, nil
+}
+
+// begin leases a session for one query request over its database.
+func (s *Server) begin(ctx context.Context, req wire.QueryRequest) (*engine.Session, error) {
+	program, db, err := s.database(req.Program, req.Tenant)
 	if err != nil {
 		return nil, err
 	}
-	goal, err := parseGoal(req.Goal)
+	g, err := s.goal(program, db, req.Goal)
 	if err != nil {
 		return nil, err
 	}
-	return s.pool.BeginDyn(ctx, db, goal, budget)
+	return s.pool.BeginGoal(ctx, db, g, engine.WithBudget(s.clampBudget(req.Budget)))
 }
 
 // parseGoal reads one goal term, tolerating a missing terminator.
@@ -174,7 +208,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return
 	}
-	db, err := s.tenantDB(req.Program, req.Tenant)
+	_, db, err := s.database(req.Program, req.Tenant)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return
@@ -212,7 +246,7 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return
 	}
-	db, err := s.tenantDB(req.Program, req.Tenant)
+	_, db, err := s.database(req.Program, req.Tenant)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -228,5 +229,21 @@ func TestTenantHTTPRace(t *testing.T) {
 	}
 	if st := srv.Pool().Stats(); st.InUse != 0 {
 		t.Fatalf("InUse=%d after drain, want 0", st.InUse)
+	}
+}
+
+// TestMetaCallAfterQuery: a goal meta-calling member/2 through call/1
+// succeeds on the machine an earlier query built, with and without a
+// tenant. The earlier goal only calls member/2, which leaves its name
+// uninterned when the machine is built.
+func TestMetaCallAfterQuery(t *testing.T) {
+	for _, tenant := range []string{"", "t"} {
+		_, c := startServer(t, Config{PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)}})
+		for _, q := range []string{"member(X, [a]).", "call(member(X, [a, b]))."} {
+			rep, code := postRaw(t, c.Base(), "/v1/query", wire.QueryRequest{Goal: q, Tenant: tenant})
+			if code != http.StatusOK || rep.Status != wire.StatusYes || rep.Bindings["X"] != "a" {
+				t.Errorf("tenant %q, %s: http %d %+v, want X = a", tenant, q, code, rep)
+			}
+		}
 	}
 }

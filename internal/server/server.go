@@ -1,7 +1,8 @@
 // Package server is the kcmd network front-end: an HTTP/JSON daemon
 // over the warm-machine pool. The KCM of the paper is a co-processor
 // that serves logic queries to a host; this package is the modern
-// analogue — compile-once images served to many network clients, with
+// analogue — one compiled image per program, each goal compiled once
+// and linked above it, served to many network clients, with
 // per-request deadlines and step budgets mapped onto the machine's
 // resumable RunFor sessions, backpressure from budget-suspended
 // sessions parked in a server-side table, and a graceful drain that
@@ -29,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/machine"
@@ -41,7 +41,8 @@ type Config struct {
 	// Programs maps a program name to its Prolog source text.
 	Programs map[string]string
 	// PoolOptions configure the machine pool (engine.WithPoolSize,
-	// engine.WithWarm, engine.WithProfiling, ...).
+	// engine.WithProfiling, ...). The pool size caps the machines per
+	// program: tenantless and tenant requests of a program share them.
 	PoolOptions []engine.PoolOption
 	// DefaultBudget is the per-slice step budget when a request
 	// carries none (default 50M instructions).
@@ -68,13 +69,11 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	pool  *engine.Pool
-	progs map[string]*core.Program
+	progs map[string]*dynProg
+	dynMu sync.Mutex // guards every program's tenants
 
-	imgMu  sync.Mutex
-	images map[imageKey]*asm.Image
-
-	dynMu    sync.Mutex
-	dynProgs map[string]*dynProg // per-program tenant databases
+	goalMu sync.Mutex
+	goals  map[goalKey]*engine.Goal // at most maxGoals
 
 	sessions *table
 	draining atomic.Bool
@@ -88,14 +87,8 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// imageKey identifies one compile-once image: a goal text against a
-// named program.
-type imageKey struct {
-	program string
-	goal    string
-}
-
-// New builds a server from cfg, parsing every program source.
+// New builds a server from cfg, compiling every program's base image
+// and seeding its database.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Programs) == 0 {
 		return nil, fmt.Errorf("server: no programs to serve")
@@ -116,9 +109,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = 4 * pool.Size()
 	}
-	progs := make(map[string]*core.Program, len(cfg.Programs))
+	progs := make(map[string]*dynProg, len(cfg.Programs))
 	for name, src := range cfg.Programs {
-		p, err := core.Load(src)
+		p, err := loadProgram(src)
 		if err != nil {
 			return nil, fmt.Errorf("server: program %q: %w", name, err)
 		}
@@ -128,8 +121,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		pool:     pool,
 		progs:    progs,
-		images:   make(map[imageKey]*asm.Image),
-		dynProgs: make(map[string]*dynProg),
+		goals:    make(map[goalKey]*engine.Goal),
 		sessions: newTable(cfg.MaxSessions),
 		janitor:  make(chan struct{}),
 	}, nil
@@ -214,8 +206,8 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // resolveProgram maps a request's program name (possibly empty, when
-// the daemon serves exactly one program) to its loaded Program.
-func (s *Server) resolveProgram(program string) (string, *core.Program, error) {
+// the daemon serves exactly one program) to its state.
+func (s *Server) resolveProgram(program string) (string, *dynProg, error) {
 	if program == "" {
 		if len(s.progs) == 1 {
 			for name := range s.progs {
@@ -230,28 +222,6 @@ func (s *Server) resolveProgram(program string) (string, *core.Program, error) {
 		return "", nil, fmt.Errorf("unknown program %q", program)
 	}
 	return program, prog, nil
-}
-
-// image returns the compile-once image for (program, goal), compiling
-// it on first use. Compilation is serialized: the compiler mutates
-// the program's symbol table.
-func (s *Server) image(program, goal string) (*asm.Image, error) {
-	program, prog, err := s.resolveProgram(program)
-	if err != nil {
-		return nil, err
-	}
-	key := imageKey{program: program, goal: goal}
-	s.imgMu.Lock()
-	defer s.imgMu.Unlock()
-	if im, ok := s.images[key]; ok {
-		return im, nil
-	}
-	im, err := prog.CompileQuery(goal)
-	if err != nil {
-		return nil, err
-	}
-	s.images[key] = im
-	return im, nil
 }
 
 // clampBudget applies the request -> default -> max budget policy.

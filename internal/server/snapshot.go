@@ -20,7 +20,8 @@ import (
 // record, next to the blob, how to rebuild the code environment: the
 // program name, the goal text, and the tenant if any. A resuming
 // daemon — this process or its successor after a restart — recompiles
-// the same program and goal, and the blob's image hash proves the
+// the same program and goal over the same database (the tenant's, or
+// the program's seed), and the blob's image hash proves the
 // reconstruction produced the very bytes the session was running
 // before any state lands on a machine.
 
@@ -179,35 +180,20 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 	runCtx, cancel := s.runCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
-	budget := engine.WithBudget(s.clampBudget(req.Budget))
-	var sess *engine.Session
-	if env.Tenant == "" {
-		im, err := s.image(env.Program, env.Goal)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
-			return
-		}
-		sess, err = s.pool.Resume(runCtx, im, env.Blob, budget)
-		if err != nil {
-			writeJSON(w, resumeStatus(err), errorReply(err))
-			return
-		}
-	} else {
-		db, err := s.tenantDB(env.Program, env.Tenant)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
-			return
-		}
-		goal, err := parseGoal(env.Goal)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
-			return
-		}
-		sess, err = s.pool.ResumeDyn(runCtx, db, goal, env.Blob, budget)
-		if err != nil {
-			writeJSON(w, resumeStatus(err), errorReply(err))
-			return
-		}
+	_, db, err := s.database(env.Program, env.Tenant)
+	if err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
+		return
+	}
+	goal, err := parseGoal(env.Goal)
+	if err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
+		return
+	}
+	sess, err := s.pool.ResumeDyn(runCtx, db, goal, env.Blob, engine.WithBudget(s.clampBudget(req.Budget)))
+	if err != nil {
+		writeJSON(w, resumeStatus(err), errorReply(err))
+		return
 	}
 	e, err := s.sessions.add(env.Program, env.Tenant, env.Goal, sess)
 	if err != nil {

@@ -19,8 +19,8 @@
 // Queries carrying a Tenant name run against that tenant's dynamic
 // database: a private copy-on-write delta (the clauses the tenant has
 // asserted) over the program's shared base image. Assert and retract
-// mutate the delta; the empty tenant name is the shared static
-// program, which assert/retract cannot touch.
+// mutate the delta; the empty tenant name is the program's seed
+// database (its source's clauses), which assert/retract cannot touch.
 //
 // A query either completes within the request (status "yes"/"no"), or
 // parks a budget-suspended session server-side (status "suspended"
@@ -170,7 +170,9 @@ type Reply struct {
 	Version uint64 `json:"version,omitempty"`
 }
 
-// PoolStats mirrors engine.PoolStats on the wire.
+// PoolStats mirrors engine.PoolStats on the wire. kcmd builds one
+// image per program, so Images counts programs and Size caps the
+// machines of each.
 type PoolStats struct {
 	Size   int `json:"size"`
 	Images int `json:"images"`

@@ -26,8 +26,8 @@ go test -race ./...
 echo '== engine pool race tests (plain, traced/profiled, tenant churn across tail compactions)'
 go test -race -run 'TestPoolRace|TestPoolTraceRace|TestTenantCompactionRace' ./internal/engine/
 
-echo '== dynamic differential gate (assert-built == statically-compiled, incl. warm counters)'
-go test -count=1 -run 'TestDynamicDifferential' ./internal/machine/
+echo '== differential gates (assert-built == statically-compiled, incl. warm counters; served goal block == whole image, incl. cold and warm counters)'
+go test -count=1 -run 'TestDynamicDifferential|TestServingDifferential' . ./internal/machine/ ./internal/server/
 
 echo '== dyndb fuzz smoke (assert/retract vs model, malformed-clause rejection)'
 go test -count=1 -run '^$' -fuzz 'FuzzAssertRetract' -fuzztime 5s ./internal/dyndb/
