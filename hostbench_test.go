@@ -15,17 +15,23 @@ package repro
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/client"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dyndb"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/reader"
+	"repro/internal/server"
 	"repro/internal/term"
+	"repro/internal/wire"
 )
 
 // hostRun compiles the program once, boots one machine, warms it with
@@ -210,6 +216,17 @@ func BenchmarkHostBoot(b *testing.B) {
 	}
 }
 
+// factsSrc is a program whose dynamic fact/1 holds fact(1) ..
+// fact(16), as kcmdbench's tenant-rw serves it.
+func factsSrc() string {
+	var src strings.Builder
+	src.WriteString(":- dynamic(fact/1).\n")
+	for i := 1; i <= 16; i++ {
+		fmt.Fprintf(&src, "fact(%d).\n", i)
+	}
+	return src.String()
+}
+
 // BenchmarkHostTenantChurn times the tenant path of the dynamic
 // database end to end: one op is an assertz, a retract and a full
 // fact(X) enumeration through a 1-machine pool, alternating between
@@ -217,13 +234,11 @@ func BenchmarkHostBoot(b *testing.B) {
 // other tenant's delta back, install this one's). history=N first runs
 // N assert/retract pairs on each tenant outside the timer, so the two
 // sub-benchmarks compare a fresh tenant with one that has a long
-// mutation history behind it.
+// mutation history behind it. Under go test compiler.Verify is on, so
+// these rows include the compiler's verifier, which kcmd never runs;
+// the verify=off rows repeat them with it off, as kcmd serves.
 func BenchmarkHostTenantChurn(b *testing.B) {
-	var src strings.Builder
-	src.WriteString(":- dynamic(fact/1).\n")
-	for i := 1; i <= 16; i++ {
-		fmt.Fprintf(&src, "fact(%d).\n", i)
-	}
+	src := factsSrc()
 	parse := func(text string) term.Term {
 		t, err := reader.ParseTerm(text + " .")
 		if err != nil {
@@ -240,49 +255,56 @@ func BenchmarkHostTenantChurn(b *testing.B) {
 			b.Fatalf("retract: ok=%v err=%v", ok, err)
 		}
 	}
-	for _, history := range []int{0, 2000} {
-		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
-			im, ds, err := core.MustLoad(src.String()).BaseImage()
-			if err != nil {
-				b.Fatal(err)
-			}
-			seed, err := dyndb.New(im, ds.Order)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, pi := range ds.Order {
-				if _, err := seed.Reload(pi, ds.Clauses[pi]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tenants := []*dyndb.DB{seed.Clone(), seed.Clone()}
-			for _, db := range tenants {
-				for i := 0; i < history; i++ {
-					pair(db)
-				}
-			}
-			pool := engine.New(engine.WithPoolSize(1))
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db := tenants[i%2]
-				pair(db)
-				s, err := pool.BeginDyn(ctx, db, goal)
+	rows := func(b *testing.B) {
+		for _, history := range []int{0, 2000} {
+			b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+				im, ds, err := core.MustLoad(src).BaseImage()
 				if err != nil {
 					b.Fatal(err)
 				}
-				n := 0
-				for s.Next(ctx) {
-					n++
+				seed, err := dyndb.New(im, ds.Order)
+				if err != nil {
+					b.Fatal(err)
 				}
-				s.Close()
-				if s.Err() != nil || n != 16 {
-					b.Fatalf("enumerated %d facts (err=%v), want 16", n, s.Err())
+				for _, pi := range ds.Order {
+					if _, err := seed.Reload(pi, ds.Clauses[pi]); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				tenants := []*dyndb.DB{seed.Clone(), seed.Clone()}
+				for _, db := range tenants {
+					for i := 0; i < history; i++ {
+						pair(db)
+					}
+				}
+				pool := engine.New(engine.WithPoolSize(1))
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					db := tenants[i%2]
+					pair(db)
+					s, err := pool.BeginDyn(ctx, db, goal)
+					if err != nil {
+						b.Fatal(err)
+					}
+					n := 0
+					for s.Next(ctx) {
+						n++
+					}
+					s.Close()
+					if s.Err() != nil || n != 16 {
+						b.Fatalf("enumerated %d facts (err=%v), want 16", n, s.Err())
+					}
+				}
+			})
+		}
 	}
+	rows(b)
+	b.Run("verify=off", func(b *testing.B) {
+		defer compiler.SetVerify(compiler.SetVerify(false))
+		rows(b)
+	})
 }
 
 // BenchmarkHostLease times one layer of a query's path: the lease
@@ -335,4 +357,82 @@ func BenchmarkHostLease(b *testing.B) {
 			run(b, func() (*engine.Session, error) { return pool.BeginGoal(ctx, seed, g) })
 		})
 	}
+}
+
+// BenchmarkHostStream times one streamed query as a kcmd client sees
+// it: one op is a client.Stream over loopback HTTP, read to its
+// terminal line, against a server.Server on a 1-machine pool. The
+// server's listener counts conn.Write calls, reported as writes/op:
+// how many network writes the stream writer spends on one stream.
+// tenant-facts16 is kcmdbench tenant-rw's stream, fact(X) for a tenant
+// over 16 facts; member10 is serve-small's, a tenantless member over
+// 10 atoms.
+func BenchmarkHostStream(b *testing.B) {
+	for _, c := range []struct {
+		name, src string
+		req       wire.QueryRequest
+		sols      int
+	}{
+		{"tenant-facts16", factsSrc(), wire.QueryRequest{Goal: "fact(X).", Tenant: "t"}, 16},
+		{"member10", demoSrc, wire.QueryRequest{Goal: "member(X, [a,b,c,d,e,f,g,h,i,j])."}, 10},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			srv, err := server.New(server.Config{
+				Programs:    map[string]string{"p": c.src},
+				PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var writes atomic.Int64
+			ts := httptest.NewUnstartedServer(srv.Handler())
+			ts.Listener = countingListener{ts.Listener, &writes}
+			ts.Start()
+			defer ts.Close()
+			cl := client.New(ts.URL)
+			ctx := context.Background()
+			stream := func() {
+				n := 0
+				rep, err := cl.Stream(ctx, c.req, func(wire.Reply) bool { n++; return true })
+				if err != nil || rep.Status != wire.StatusDone || n != c.sols {
+					b.Fatalf("stream gave %d solutions, terminal %+v (err=%v), want %d and done", n, rep, err, c.sols)
+				}
+			}
+			// The first stream compiles the goal, builds the machine and
+			// opens the connection.
+			stream()
+			b.ReportAllocs()
+			b.ResetTimer()
+			writes.Store(0)
+			for i := 0; i < b.N; i++ {
+				stream()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(writes.Load())/float64(b.N), "writes/op")
+		})
+	}
+}
+
+// countingListener counts every Write on the connections it accepts.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{conn, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }

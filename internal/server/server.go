@@ -15,7 +15,8 @@
 // values, and release or park the machine before the handler touches
 // the ResponseWriter; the streaming path decouples through a channel
 // between the enumerator goroutine (owns the machine) and the handler
-// goroutine (owns the connection).
+// goroutine (owns the connection), which flushes whenever the channel
+// runs empty.
 package server
 
 import (
@@ -580,14 +581,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // --- streaming ---
 
 // streamToWriter runs the enumeration in a separate goroutine and
-// copies its wire values onto the connection as NDJSON, flushing per
-// line. The enumerator owns the machine; this function owns the
-// network. A write failure cancels ctx so the enumerator stops and
-// the session is released.
+// writes its wire values onto the connection with writeLines. The
+// enumerator owns the machine; the handler goroutine owns the network.
 func (s *Server) streamToWriter(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, req wire.QueryRequest) {
+	// The buffer lets the enumerator run up to 16 lines ahead of the
+	// writer, which sends what has queued up as one burst.
 	lines := make(chan wire.Reply, 16)
 	go s.streamQuery(ctx, req, lines)
+	writeLines(w, lines, cancel)
+}
 
+// writeLines copies lines onto w as NDJSON until the sender closes
+// the channel. It flushes after a yes line only when no further line
+// is queued, so a fast enumeration leaves in one or a few writes
+// while a slow one still reaches the client line by line: nothing is
+// held back while the next solution is being computed. The terminal
+// done or error line is never flushed here; it leaves when the handler
+// returns and net/http ends the response. net/http's response
+// buffers write through whenever they fill, which bounds what a
+// producer outrunning the writer can leave unwritten. A write failure
+// cancels the enumerator and drains the channel so the session is
+// released.
+func writeLines(w http.ResponseWriter, lines <-chan wire.Reply, cancel context.CancelFunc) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
@@ -599,7 +614,7 @@ func (s *Server) streamToWriter(ctx context.Context, cancel context.CancelFunc, 
 			}
 			return
 		}
-		if flusher != nil {
+		if flusher != nil && rep.Status == wire.StatusYes && len(lines) == 0 {
 			flusher.Flush()
 		}
 	}

@@ -25,9 +25,11 @@
 // A query either completes within the request (status "yes"/"no"), or
 // parks a budget-suspended session server-side (status "suspended"
 // plus a session id) which the client drives with next/cancel. With
-// "stream" set, the response is chunked application/x-ndjson: one
-// Reply line per solution, then a terminal line whose Status is
-// "done" (with the final counters) or "error".
+// "stream" set, the response is application/x-ndjson: one Reply line
+// per solution, then a terminal line whose Status is "done" (with the
+// final counters) or "error". A short stream that completes before
+// anything was flushed arrives with a Content-Length, any other one
+// chunked.
 //
 // Suspend serializes a parked session's full machine state to the
 // daemon's state directory and returns a durable handle (status

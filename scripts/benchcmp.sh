@@ -29,7 +29,8 @@ extract() {
     inb && /^  \}/           { inb = 0; done = 1 }
     inb {
         line = $0
-        if (match(line, /"[A-Za-z0-9_-]+": \{/)) {
+        # Sub-benchmark names carry "/" and "=" (TenantChurn/history=0).
+        if (match(line, /"[A-Za-z0-9_\/=-]+": \{/)) {
             name = substr(line, RSTART + 1, RLENGTH - 5)
             ns = allocs = "?"
             if (match(line, /"ns_op": [0-9]+/))     ns     = substr(line, RSTART + 9, RLENGTH - 9)
@@ -49,16 +50,16 @@ BEGIN {
     while ((getline line < oldf) > 0) {
         split(line, f, " "); ons[f[1]] = f[2]; oal[f[1]] = f[3]
     }
-    printf "%-12s %12s %12s %9s %10s %10s\n",
+    printf "%-36s %12s %12s %9s %10s %10s\n",
         "benchmark", "old ns/op", "new ns/op", "speedup", "old allocs", "new allocs"
     while ((getline line < newf) > 0) {
         split(line, f, " ")
         b = f[1]; nns = f[2]; nal = f[3]
         if (b in ons && ons[b] + 0 > 0) {
-            printf "%-12s %12d %12d %8.2fx %10d %10d\n",
+            printf "%-36s %12d %12d %8.2fx %10d %10d\n",
                 b, ons[b], nns, ons[b] / nns, oal[b], nal
         } else {
-            printf "%-12s %12s %12d %9s %10s %10d\n", b, "-", nns, "-", "-", nal
+            printf "%-36s %12s %12d %9s %10s %10d\n", b, "-", nns, "-", "-", nal
         }
     }
 }'

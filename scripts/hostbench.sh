@@ -54,13 +54,15 @@ go test -run '^$' -bench '^BenchmarkHostPoolNrev$' -benchmem -benchtime "$btime"
             allocs[name] = v["allocs/op"] + 0
             klips[name]  = v["simulated-Klips"] + 0
             mips[name]   = v["host-Mips"] + 0
+            # Only the stream benchmark reports writes/op.
+            writes[name] = ("writes/op" in v) ? sprintf(", \"writes_op\": %.2f", v["writes/op"]) : ""
         }
     }
     END {
         for (i = 1; i <= m; i++) {
             b = order[i]
-            printf "    \"%s\": {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d, \"simulated_klips\": %.1f, \"host_mips\": %.1f}%s\n",
-                b, ns[b], bytes[b], allocs[b], klips[b], mips[b], (i < m) ? "," : ""
+            printf "    \"%s\": {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d, \"simulated_klips\": %.1f, \"host_mips\": %.1f%s}%s\n",
+                b, ns[b], bytes[b], allocs[b], klips[b], mips[b], writes[b], (i < m) ? "," : ""
         }
     }' "$raw"
     printf '  }'

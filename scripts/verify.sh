@@ -26,6 +26,9 @@ go test -race ./...
 echo '== engine pool race tests (plain, traced/profiled, tenant churn across tail compactions)'
 go test -race -run 'TestPoolRace|TestPoolTraceRace|TestTenantCompactionRace' ./internal/engine/
 
+echo '== stream writer and stream race tests (enumerator and writer goroutines share the line channel and the cancel func)'
+go test -race -count=5 -run 'TestStream' ./internal/server/
+
 echo '== differential gates (assert-built == statically-compiled, incl. warm counters; served goal block == whole image, incl. cold and warm counters)'
 go test -count=1 -run 'TestDynamicDifferential|TestServingDifferential' . ./internal/machine/ ./internal/server/
 
