@@ -13,12 +13,15 @@
 //	kcm -q 'main.' -timeout 2s -budget 1000000 prog.pl
 //	kcm -q 'main.' -profile queens.pl              # cycles by predicate
 //	kcm -q 'main.' -tracejson t.jsonl -folded f.txt queens.pl
+//	kcm -q 'main.' -trace queens.pl 2> trace.txt   # one line per event
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -30,42 +33,60 @@ import (
 )
 
 func main() {
+	status, err := run(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kcm:", err)
+	}
+	os.Exit(status)
+}
+
+// run is the whole command. It returns the exit status and the error
+// to report instead of exiting, so the deferred trace flushes run on
+// every path (a failed query, a fault, a timeout or a budget error is
+// where a trace matters most) and the error prints after the trace.
+func run(args []string) (int, error) {
+	fs := flag.NewFlagSet("kcm", flag.ContinueOnError)
 	var (
-		query     = flag.String("q", "main.", "query goal to run")
-		stats     = flag.Bool("stats", false, "print machine counters")
-		cache     = flag.Bool("cache", false, "print cache statistics")
-		traceText = flag.Bool("trace", false, "trace every instruction (macrocode monitor)")
-		shallow   = flag.Bool("shallow", true, "enable shallow backtracking (delayed choice points)")
-		warm      = flag.Bool("warm", false, "time a second run with warm caches (paper protocol)")
-		prof      = flag.Bool("profile", false, "per-predicate cycle profile (flat + cumulative tables)")
-		tracejson = flag.String("tracejson", "", "stream structured trace events to this JSONL file")
-		folded    = flag.String("folded", "", "write folded stacks (flamegraph collapsed format) to this file")
-		timeout   = flag.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = none)")
-		budget    = flag.Uint64("budget", 0, "abort after this many simulated instructions (0 = default bound)")
-		nsols     = flag.Int("n", 1, "enumerate up to k solutions (0 = all)")
-		heap      = flag.Uint64("heap", 0, "global stack (heap) size in words (0 = default)")
-		gc        = flag.Bool("gc", true, "collect the heap on overflow instead of failing the query")
-		gcmark    = flag.Uint64("gcwatermark", 0, "free words a collection must leave to retry (0 = heap/16)")
-		gcthresh  = flag.Uint64("gcthreshold", 0, "also collect at call boundaries once the heap tops this many words (0 = overflow-only)")
+		query     = fs.String("q", "main.", "query goal to run")
+		stats     = fs.Bool("stats", false, "print machine counters")
+		cache     = fs.Bool("cache", false, "print cache statistics")
+		traceText = fs.Bool("trace", false, "stream every trace event to stderr, one text line each in the golden-trace format (macrocode monitor; no register dump)")
+		shallow   = fs.Bool("shallow", true, "enable shallow backtracking (delayed choice points)")
+		warm      = fs.Bool("warm", false, "time a second run with warm caches (paper protocol)")
+		prof      = fs.Bool("profile", false, "per-predicate cycle profile (flat + cumulative tables)")
+		tracejson = fs.String("tracejson", "", "stream structured trace events to this JSONL file")
+		folded    = fs.String("folded", "", "write folded stacks (flamegraph collapsed format) to this file")
+		timeout   = fs.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = none)")
+		budget    = fs.Uint64("budget", 0, "abort after this many simulated instructions (0 = default bound)")
+		nsols     = fs.Int("n", 1, "enumerate up to k solutions (0 = all)")
+		heap      = fs.Uint64("heap", 0, "global stack (heap) size in words (0 = default)")
+		gc        = fs.Bool("gc", true, "collect the heap on overflow instead of failing the query")
+		gcmark    = fs.Uint64("gcwatermark", 0, "free words a collection must leave to retry (0 = heap/16)")
+		gcthresh  = fs.Uint64("gcthreshold", 0, "also collect at call boundaries once the heap tops this many words (0 = overflow-only)")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
+		}
+		return 2, nil
+	}
+	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: kcm [flags] program.pl...")
-		flag.PrintDefaults()
-		os.Exit(2)
+		fs.PrintDefaults()
+		return 2, nil
 	}
 	var src strings.Builder
-	for _, f := range flag.Args() {
+	for _, f := range fs.Args() {
 		b, err := os.ReadFile(f)
 		if err != nil {
-			fatal(err)
+			return 1, err
 		}
 		src.Write(b)
 		src.WriteByte('\n')
 	}
 	prog, err := core.Load(src.String())
 	if err != nil {
-		fatal(err)
+		return 1, err
 	}
 	cfg := machine.Config{Out: os.Stdout}
 	if !*shallow {
@@ -79,9 +100,6 @@ func main() {
 	}
 	cfg.HeapWatermarkWords = uint32(*gcmark)
 	cfg.GCThresholdWords = uint32(*gcthresh)
-	if *traceText {
-		cfg.Trace = os.Stderr
-	}
 	opts := []core.QueryOption{core.WithConfig(cfg), core.WithMaxSolutions(*nsols)}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -92,50 +110,51 @@ func main() {
 		opts = append(opts, core.WithBudget(*budget))
 	}
 
-	// The JSONL sink is opened once and streams every run (with -warm,
+	// The stream sinks are opened once and see every run (with -warm,
 	// both the cold and the warm run; each run's events restart at
 	// sequence 1 on its own machine).
-	var jsonl *trace.JSONL
+	var sinks []trace.Hook
+	if *traceText {
+		text := trace.NewText(os.Stderr)
+		defer closeSink("trace", text)
+		sinks = append(sinks, text)
+	}
 	if *tracejson != "" {
 		f, err := os.Create(*tracejson)
 		if err != nil {
-			fatal(err)
+			return 1, err
 		}
-		defer f.Close()
-		jsonl = trace.NewJSONL(f)
-		defer func() {
-			if err := jsonl.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "kcm: trace:", err)
-			}
-		}()
+		jsonl := trace.NewJSONL(f)
+		defer closeSink("tracejson", jsonl, f)
+		sinks = append(sinks, jsonl)
+	}
+	if h := trace.Tee(sinks...); h != nil {
+		opts = append(opts, core.WithTrace(h))
 	}
 	profiling := *prof || *folded != ""
 
-	// run executes one enumeration with its own profiler, so with
+	// once executes one enumeration with its own profiler, so with
 	// -warm the reported profile covers only the displayed (warm) run
-	// while the JSONL stream keeps everything.
-	run := func() ([]*core.Solution, *core.Solution, *trace.Profiler, error) {
+	// while the stream sinks keep everything.
+	once := func() ([]*core.Solution, *core.Solution, *trace.Profiler, error) {
 		ro := opts
 		var pr *trace.Profiler
 		if profiling {
 			pr = trace.NewProfiler()
 			ro = append(ro[:len(ro):len(ro)], core.WithProfile(pr))
 		}
-		if jsonl != nil {
-			ro = append(ro[:len(ro):len(ro)], core.WithTrace(jsonl))
-		}
 		sols, final, err := enumerate(prog, *query, *budget, ro)
 		return sols, final, pr, err
 	}
 
-	sols, final, pr, err := run()
+	sols, final, pr, err := once()
 	if err != nil {
-		fatal(err)
+		return 1, err
 	}
 	if *warm && len(sols) > 0 {
 		// Second run for the timing (the paper's best-of-several
 		// protocol).
-		if sols2, final2, pr2, err := run(); err == nil && len(sols2) > 0 {
+		if sols2, final2, pr2, err := once(); err == nil && len(sols2) > 0 {
 			sols, final, pr = sols2, final2, pr2
 		}
 	}
@@ -143,14 +162,14 @@ func main() {
 	if *folded != "" && pr != nil {
 		f, err := os.Create(*folded)
 		if err != nil {
-			fatal(err)
+			return 1, err
 		}
 		werr := pr.WriteFolded(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fatal(werr)
+			return 1, werr
 		}
 	}
 	if !*prof {
@@ -160,7 +179,7 @@ func main() {
 	if len(sols) == 0 {
 		fmt.Println("no")
 		printStats(final, *stats, *cache, pr)
-		os.Exit(1)
+		return 1, nil
 	}
 	fmt.Println("yes")
 	for i, sol := range sols {
@@ -177,6 +196,18 @@ func main() {
 		}
 	}
 	printStats(sols[len(sols)-1], *stats, *cache, pr)
+	return 0, nil
+}
+
+// closeSink flushes a trace sink, then closes the file it writes to,
+// if any. An error is reported, not returned, since the query's own
+// outcome is already decided.
+func closeSink(name string, cs ...io.Closer) {
+	for _, c := range cs {
+		if err := c.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "kcm: %s: %v\n", name, err)
+		}
+	}
 }
 
 // enumerate collects up to the option-bounded number of solutions;
@@ -246,9 +277,4 @@ func printStats(sol *core.Solution, stats, cache bool, pr *trace.Profiler) {
 		fmt.Printf("mmu: %d translations, %d demand pages\n",
 			sol.Result.DataMMU.Translations, sol.Result.DataMMU.PageFaults)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kcm:", err)
-	os.Exit(1)
 }

@@ -12,7 +12,13 @@
 //
 //	kcmbench -cpuprofile cpu.pprof          # pprof CPU profile of the run
 //	kcmbench -memprofile mem.pprof          # heap profile at exit
-//	kcmbench -hostprofile nrev1             # per-opcode host ns for one program
+//
+// For host time per opcode, profile the warm nrev loop unperturbed
+// (from the repository root) and read the line view of the opcode
+// switch:
+//
+//	go test -run '^$' -bench BenchmarkHostNrev -cpuprofile cpu.pprof .
+//	go tool pprof -list 'Machine..exec$' cpu.pprof
 //
 // Profiling the simulated machine (where the paper's cycles go,
 // predicate by predicate, next to the whole-run tables):
@@ -30,7 +36,6 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/bench"
-	"repro/internal/compiler"
 	"repro/internal/machine"
 	"repro/internal/trace"
 )
@@ -74,49 +79,12 @@ func predProfileAll(heapWords uint32) error {
 	return nil
 }
 
-// hostProfile runs one benchmark program twice (cold, then warm — the
-// steady state the predecode work targets) with the per-opcode
-// host-time monitor on, and prints where the interpreter's wall-clock
-// time goes.
-func hostProfile(name string, heapWords uint32) error {
-	p, ok := bench.ByName(name)
-	if !ok {
-		return fmt.Errorf("unknown program %q", name)
-	}
-	im, err := bench.Compile(p, true)
-	if err != nil {
-		return err
-	}
-	cfg := machine.Config{HostProfile: true}
-	if heapWords > 0 {
-		cfg.GlobalBase, cfg.GlobalSize = machine.DefGlobalBase, heapWords
-	}
-	m, err := machine.New(im, cfg)
-	if err != nil {
-		return err
-	}
-	entry, ok := im.Entry(compiler.QueryPI)
-	if !ok {
-		return fmt.Errorf("%s: no query entry", name)
-	}
-	for i := 0; i < 2; i++ {
-		m.ResetStats()
-		if _, err := m.Run(entry); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("Host-time profile of %s (2 runs, warm second)\n", name)
-	fmt.Println(machine.RenderHostProfile(m.HostProfile()))
-	return nil
-}
-
 func main() {
 	table := flag.String("table", "all", "table to regenerate: 1, 2, 3, 4, cache, shallow, deref, trail, all")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator to `file`")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the simulator to `file`")
-	hostprofile := flag.String("hostprofile", "", "print the per-opcode host-time profile of one benchmark `program` and exit")
 	predprofile := flag.String("predprofile", "", "print the per-predicate simulated-cycle profile of one benchmark `program` (or \"all\") and exit")
-	heap := flag.Uint64("heap", 0, "global stack (heap) size in `words` for -predprofile/-hostprofile runs (0 = default)")
+	heap := flag.Uint64("heap", 0, "global stack (heap) size in `words` for -predprofile runs (0 = default)")
 	flag.Parse()
 
 	fail := func(name string, err error) {
@@ -148,12 +116,6 @@ func main() {
 		}()
 	}
 
-	if *hostprofile != "" {
-		if err := hostProfile(*hostprofile, uint32(*heap)); err != nil {
-			fail("hostprofile", err)
-		}
-		return
-	}
 	if *predprofile != "" {
 		var err error
 		if *predprofile == "all" {

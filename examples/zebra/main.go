@@ -8,9 +8,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 const program = `
@@ -52,7 +53,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := prog.Query("zebra(Owner, Houses).", core.WithConfig(machine.Config{Profile: true}))
+	pr := trace.NewProfiler()
+	sol, err := prog.Query("zebra(Owner, Houses).", core.WithProfile(pr))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,5 +72,5 @@ func main() {
 	fmt.Printf("shallow fails %d, deep fails %d, choice points %d, trail pushes %d\n",
 		s.ShallowFails, s.DeepFails, s.ChoicePoints, s.TrailPushes)
 	fmt.Println("\nper-predicate cycle profile:")
-	fmt.Print(machine.RenderProfile(sol.Result.Profile, s.Cycles))
+	trace.RenderProfile(os.Stdout, pr.Rows(), pr.Total())
 }

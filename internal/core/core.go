@@ -164,15 +164,6 @@ func WithWriter(w io.Writer) QueryOption {
 	return func(o *queryOpts) { o.cfg.Out = w }
 }
 
-// WithHeapWatermark sets the free-space watermark (in words) an
-// overflow-triggered garbage collection must leave for the faulting
-// instruction to be retried; a collection freeing less surfaces
-// machine.ErrHeapOverflow instead of thrashing. 0 keeps the machine
-// default (GlobalSize/16, floored at 64 words).
-func WithHeapWatermark(words uint32) QueryOption {
-	return func(o *queryOpts) { o.cfg.HeapWatermarkWords = words }
-}
-
 // WithContext attaches a cancellation context: the run is polled
 // every machine.CheckStride instructions, and a cancellation or
 // deadline surfaces as machine.ErrCancelled / machine.ErrDeadline.

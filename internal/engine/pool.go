@@ -35,11 +35,11 @@ import (
 type Pool struct {
 	cfg  machine.Config
 	size int
+	agg  *trace.Agg // pool-wide profile; nil unless built WithProfiling(true)
 
 	mu     sync.Mutex
 	images map[*asm.Image]*imagePool
 	dyn    map[*machine.Machine]*dynState // tenant delta each machine carries
-	agg    *trace.Agg                     // pool-wide profile; nil until EnableProfiling
 }
 
 // imagePool tracks the machines built for one image. free is buffered
@@ -68,12 +68,16 @@ func WithPoolSize(n int) PoolOption {
 	return func(p *Pool) { p.size = n }
 }
 
-// WithProfiling arms pool-wide per-predicate cycle profiling from the
-// first machine built; read the aggregate with Profile.
+// WithProfiling arms pool-wide per-predicate cycle profiling: every
+// machine the pool builds carries its own trace.Profiler (no
+// cross-machine locking on the hot path), and each query's attribution
+// is merged into one aggregate after the query completes. Read the
+// aggregate with Profile.
 func WithProfiling(on bool) PoolOption {
 	return func(p *Pool) {
+		p.agg = nil
 		if on {
-			p.EnableProfiling()
+			p.agg = trace.NewAgg()
 		}
 	}
 }
@@ -87,6 +91,11 @@ func New(options ...PoolOption) *Pool {
 	}
 	for _, opt := range options {
 		opt(p)
+	}
+	if p.agg != nil {
+		// Armed after every option, so WithConfig in any position keeps
+		// the profiler factory.
+		p.cfg.HookFactory = func() trace.Hook { return trace.NewProfiler() }
 	}
 	if p.size <= 0 {
 		p.size = runtime.GOMAXPROCS(0)
@@ -121,42 +130,20 @@ func (p *Pool) Stats() PoolStats {
 	return st
 }
 
-// EnableProfiling arms per-predicate cycle profiling for the pool:
-// every machine built afterwards carries its own trace.Profiler (no
-// cross-machine locking on the hot path), and each query's attribution
-// is merged into one pool-wide aggregate after the query completes.
-// Call it before the first Query — machines built earlier run
-// unprofiled. Returns the aggregate; idempotent.
-func (p *Pool) EnableProfiling() *trace.Agg {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.agg == nil {
-		p.agg = trace.NewAgg()
-		p.cfg.HookFactory = func() trace.Hook { return trace.NewProfiler() }
-	}
-	return p.agg
-}
-
-// Profile returns the pool-wide aggregated profile, or nil when
-// profiling was never enabled.
-func (p *Pool) Profile() *trace.Agg {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.agg
-}
+// Profile returns the pool-wide aggregated profile, or nil when the
+// pool was built without profiling. The aggregate is fixed at New, so
+// reading it takes no lock.
+func (p *Pool) Profile() *trace.Agg { return p.agg }
 
 // harvest merges a machine's per-query profile into the pool
 // aggregate. It must run after the query's last slice and before the
 // machine is released (the next query's Reset clears the profiler).
 func (p *Pool) harvest(m *machine.Machine) {
-	p.mu.Lock()
-	agg := p.agg
-	p.mu.Unlock()
-	if agg == nil {
+	if p.agg == nil {
 		return
 	}
 	if prof, ok := m.Hook().(*trace.Profiler); ok {
-		agg.Add(prof)
+		p.agg.Add(prof)
 	}
 }
 

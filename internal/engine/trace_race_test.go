@@ -49,8 +49,8 @@ func TestPoolTraceRace(t *testing.T) {
 		}
 		jobs = append(jobs, job{prog: prog, query: pq.query, want: sol.String()})
 	}
-	pool := engine.New(engine.WithPoolSize(4))
-	agg := pool.EnableProfiling()
+	pool := engine.New(engine.WithPoolSize(4), engine.WithProfiling(true))
+	agg := pool.Profile()
 
 	// Compile the pool images once, up front (compilation shares the
 	// per-program symbol table and is not part of what this test

@@ -1,12 +1,9 @@
 package machine
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/kcmisa"
-	"repro/internal/term"
 	"repro/internal/trace"
 	"repro/internal/word"
 )
@@ -41,7 +38,6 @@ func (m *Machine) steps(limit uint64) uint64 {
 		return m.stepsTraced(limit)
 	}
 	steps := uint64(0)
-	instrumented := m.prof != nil || m.hostProf != nil
 	for !m.halted && m.err == nil && steps < limit {
 		addr := m.p
 		var in *kcmisa.Instr
@@ -84,16 +80,9 @@ func (m *Machine) steps(limit uint64) uint64 {
 		if m.err != nil {
 			break
 		}
-		if m.cfg.Trace != nil {
-			fmt.Fprintf(m.cfg.Trace, "%6d  %-40v %s\n", m.p, *in, m.DumpState())
-		}
 		m.stats.Instrs++
 		m.p += uint32(nw)
-		if instrumented {
-			m.execInstrumented(addr, in)
-		} else {
-			m.exec(in)
-		}
+		m.exec(in)
 		if m.err != nil && m.recoverHeap(addr) {
 			// A heap overflow cleared by collection: re-run the faulting
 			// instruction against the compacted heap. Every
@@ -115,7 +104,6 @@ func (m *Machine) result() Result {
 		CCache:  m.icache.Stats(),
 		Mem:     m.phys.Stats(),
 		DataMMU: m.dmmu.Stats(),
-		Profile: m.Profile(),
 		GC:      m.gcStats,
 	}
 }
@@ -170,30 +158,6 @@ func (m *Machine) bootstrap(entry uint32) {
 	m.gcRetryAddr, m.gcRetryInstr = 0, ^uint64(0)
 	if hooked {
 		m.emit(trace.Event{Kind: trace.KBoot, P: entry, Addr: m.b, Cycles: m.stats.Cycles - before})
-	}
-}
-
-// execInstrumented wraps exec with the optional monitors: the
-// per-predicate cycle profiler and the per-opcode host-time profiler.
-// It is kept out of the plain path so an unmonitored run pays one
-// branch, not two time.Now calls, per step.
-func (m *Machine) execInstrumented(addr uint32, in *kcmisa.Instr) {
-	var t0 time.Time
-	if m.hostProf != nil {
-		t0 = time.Now()
-	}
-	before := m.stats.Cycles
-	gcBefore := m.gcStats.Cycles
-	op := in.Op
-	m.exec(in)
-	if m.prof != nil {
-		// A collection triggered inside the instruction (the threshold
-		// fires at call boundaries) is not the predicate's own work;
-		// its cycles stay visible in GCStats.
-		m.prof.account(addr, m.stats.Cycles-before-(m.gcStats.Cycles-gcBefore))
-	}
-	if m.hostProf != nil {
-		m.hostProf.account(op, time.Since(t0))
 	}
 }
 
@@ -1046,15 +1010,3 @@ func (m *Machine) typeTest(in *kcmisa.Instr) {
 		m.fail()
 	}
 }
-
-// RegWord exposes a register (diagnostics and tests).
-func (m *Machine) RegWord(i int) word.Word { return m.regs[i] }
-
-// DumpState formats the machine registers (debugging aid).
-func (m *Machine) DumpState() string {
-	return fmt.Sprintf("P=%d CP=%d E=%#x B=%#x H=%#x HB=%#x TR=%#x S=%#x mode=%v SF=%v CF=%v",
-		m.p, m.cp, m.e, m.b, m.h, m.hb, m.tr, m.s, m.mode, m.sf, m.cf)
-}
-
-// Syms is defined in machine.go; term import is used by readback.go.
-var _ = term.Var("")

@@ -81,10 +81,6 @@ type Config struct {
 	// Baseline cost models reuse the engine with their own clock.
 	CycleNs float64
 
-	// Trace, when non-nil, receives one line per executed instruction
-	// (the macrocode monitor of the paper's tool set).
-	Trace io.Writer
-
 	// Costs overrides the microcycle cost table (nil: Defaults).
 	Costs *Costs
 
@@ -108,16 +104,6 @@ type Config struct {
 	// surfaces ErrHeapOverflow instead of thrashing. 0 selects
 	// GlobalSize/16, floored at 64 words.
 	HeapWatermarkWords uint32
-
-	// Profile enables the per-predicate cycle monitor (see Profile).
-	Profile bool
-
-	// HostProfile enables the per-opcode host-time monitor (see
-	// HostProfile): wall-clock nanoseconds the Go interpreter spends
-	// executing each opcode. It is a tool for optimising the simulator
-	// itself — it measures the host, not the simulated machine — and
-	// adds two clock reads per instruction, so it is off by default.
-	HostProfile bool
 
 	// Hook receives the structured trace event stream
 	// (internal/trace): instruction dispatch, control boundaries,
@@ -202,7 +188,6 @@ type Result struct {
 	CCache   cache.Stats
 	Mem      mem.Stats
 	DataMMU  mmu.Stats
-	Profile  []ProfileRow // non-nil when Config.Profile is set
 	GC       GCStats
 }
 
@@ -266,8 +251,6 @@ type Machine struct {
 	gcRetryAddr    uint32 // last instruction granted an overflow retry
 	gcRetryInstr   uint64 // Instrs count when the retry was granted
 	gcStats        GCStats
-	prof           *profiler
-	hostProf       *hostProfiler
 
 	// fingerprint caches configFingerprint(): the configuration is
 	// immutable after New, and the fmt-based hash is too slow to
@@ -366,12 +349,6 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 		if m.heapWatermark < 64 {
 			m.heapWatermark = 64
 		}
-	}
-	if cfg.Profile {
-		m.prof = newProfiler(im)
-	}
-	if cfg.HostProfile {
-		m.hostProf = &hostProfiler{}
 	}
 	m.fetch = m.fetchCode
 	m.preds = maps.Clone(im.Entries)

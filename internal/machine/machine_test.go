@@ -8,6 +8,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/reader"
 	"repro/internal/term"
+	"repro/internal/trace"
 )
 
 func buildImage(t *testing.T, src, query string) *asm.Image {
@@ -160,8 +161,12 @@ func TestShallowAvoidsChoicePoints(t *testing.T) {
 
 func TestTraceOutput(t *testing.T) {
 	var tr strings.Builder
-	_, res, err := run(t, "ok.\n", "ok.", Config{Trace: &tr})
+	text := trace.NewText(&tr)
+	_, res, err := run(t, "ok.\n", "ok.", Config{Hook: text})
 	if err != nil || !res.Success {
+		t.Fatal(err)
+	}
+	if err := text.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tr.String(), "proceed") || !strings.Contains(tr.String(), "halt") {

@@ -1,13 +1,16 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/compiler"
-	"repro/internal/term"
+	"repro/internal/trace"
 )
 
+// TestProfileAttributesCycles runs naive reverse under trace.Profiler,
+// the machine's per-predicate cycle monitor, and checks that append
+// ranks first and that every simulated cycle is attributed.
 func TestProfileAttributesCycles(t *testing.T) {
 	src := `
 app([], L, L).
@@ -18,7 +21,8 @@ mklist(0, []).
 mklist(N, [N|T]) :- N > 0, M is N - 1, mklist(M, T).
 `
 	im := buildImage(t, src, "mklist(25, L), nrev(L, _R).")
-	m, err := New(im, Config{Profile: true})
+	prof := trace.NewProfiler()
+	m, err := New(im, Config{Hook: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,56 +31,26 @@ mklist(N, [N|T]) :- N > 0, M is N - 1, mklist(M, T).
 	if err != nil || !res.Success {
 		t.Fatal(err)
 	}
-	rows := m.Profile()
+	rows := prof.Rows()
+	var out strings.Builder
+	trace.RenderProfile(&out, rows, res.Stats.Cycles)
 	if len(rows) < 3 {
-		t.Fatalf("profile too small: %v", rows)
+		t.Fatalf("profile too small:\n%s", out.String())
 	}
 	// In naive reverse, append dominates (quadratic); it must rank
-	// first and hold the majority of cycles.
-	if rows[0].Pred != term.Ind("app", 3) {
-		t.Fatalf("heaviest predicate is %v, want app/3\n%s",
-			rows[0].Pred, RenderProfile(rows, res.Stats.Cycles))
-	}
-	var sum uint64
+	// first by self cycles.
+	var top trace.Row
 	for _, r := range rows {
-		sum += r.Cycles
-	}
-	// Everything except fail-dispatch bookkeeping is attributed.
-	if sum > res.Stats.Cycles || float64(sum) < 0.9*float64(res.Stats.Cycles) {
-		t.Fatalf("attributed %d of %d cycles", sum, res.Stats.Cycles)
-	}
-	out := RenderProfile(rows, res.Stats.Cycles)
-	if out == "" || len(rows) != len(m.Profile()) {
-		t.Fatal("render/stability broken")
-	}
-	t.Logf("\n%s", out)
-}
-
-func TestProfileDisabled(t *testing.T) {
-	im := buildImage(t, "ok.\n", "ok.")
-	m, err := New(im, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, _ := im.Entry(compiler.QueryPI)
-	if _, err := m.Run(entry); err != nil {
-		t.Fatal(err)
-	}
-	if m.Profile() != nil {
-		t.Fatal("profile must be nil when disabled")
-	}
-}
-
-func TestProfilerLocate(t *testing.T) {
-	im := buildImage(t, "a.\nb :- a.\n", "b.")
-	p := newProfiler(im)
-	for pi, addr := range im.Entries {
-		if i := p.locate(addr); i < 0 || p.entries[i].pi != pi {
-			t.Errorf("locate(%d) missed %v", addr, pi)
+		if r.Self > top.Self {
+			top = r
 		}
 	}
-	if p.locate(0) != -1 {
-		t.Error("bootstrap word must attribute to no predicate")
+	if top.Name != "app/3" {
+		t.Fatalf("heaviest predicate is %s, want app/3\n%s", top.Name, out.String())
 	}
-	_ = asm.Base
+	// Boot, redo, fault and gc buckets included, attribution is exact.
+	if prof.Total() != res.Stats.Cycles {
+		t.Fatalf("attributed %d of %d cycles", prof.Total(), res.Stats.Cycles)
+	}
+	t.Logf("\n%s", out.String())
 }

@@ -109,6 +109,3 @@ func (m *Machine) QueryBindings(slots map[term.Var]int) map[term.Var]term.Term {
 	}
 	return out
 }
-
-// DebugPeek exposes the untimed read path for tests and diagnostics.
-func (m *Machine) DebugPeek(z word.Zone, a uint32) word.Word { return m.peek(z, a) }

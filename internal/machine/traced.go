@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"repro/internal/kcmisa"
 	"repro/internal/mmu"
 	"repro/internal/trace"
@@ -74,7 +72,6 @@ func (m *Machine) Hook() trace.Hook { return m.hook }
 // charged by a fetch that faulted before execution.
 func (m *Machine) stepsTraced(limit uint64) uint64 {
 	steps := uint64(0)
-	instrumented := m.prof != nil || m.hostProf != nil
 	for !m.halted && m.err == nil && steps < limit {
 		addr := m.p
 		m.traceP = addr
@@ -115,18 +112,11 @@ func (m *Machine) stepsTraced(limit uint64) uint64 {
 			m.emit(trace.Event{Kind: trace.KFault, P: addr, Cycles: m.stats.Cycles - before})
 			break
 		}
-		if m.cfg.Trace != nil {
-			fmt.Fprintf(m.cfg.Trace, "%6d  %-40v %s\n", m.p, *in, m.DumpState())
-		}
 		m.stats.Instrs++
 		m.p += uint32(nw)
 		op := in.Op
 		tgt := uint32(in.L)
-		if instrumented {
-			m.execInstrumented(addr, in)
-		} else {
-			m.exec(in)
-		}
+		m.exec(in)
 		m.emit(trace.Event{Kind: trace.KInstr, Op: op, P: addr,
 			Cycles: m.stats.Cycles - before - (m.gcStats.Cycles - gcBefore)})
 		if m.err != nil {

@@ -104,9 +104,6 @@ func (a *FrameAlloc) Alloc() (uint32, bool) {
 	return f, true
 }
 
-// Allocated returns how many frames have been handed out.
-func (a *FrameAlloc) Allocated() uint32 { return a.next }
-
 // Next returns the next frame the allocator would hand out.
 func (a *FrameAlloc) Next() uint32 { return a.next }
 
@@ -165,9 +162,6 @@ func New(m *mem.Memory, frames *FrameAlloc) *MMU {
 
 // SetZone installs the descriptor for zone z.
 func (u *MMU) SetZone(z word.Zone, d Zone) { u.zones[z] = d }
-
-// ZoneOf returns the descriptor for zone z.
-func (u *MMU) ZoneOf(z word.Zone) Zone { return u.zones[z] }
 
 // Check performs the zone check on a data word used as an address:
 // the unimplemented top address bits must be zero, the type must be

@@ -2,7 +2,6 @@ package term
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -75,14 +74,4 @@ func (st *SymTab) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.byIdx)
-}
-
-// Atoms returns the interned atoms sorted by name (for diagnostics).
-func (st *SymTab) Atoms() []Atom {
-	st.mu.RLock()
-	out := make([]Atom, len(st.byIdx))
-	copy(out, st.byIdx)
-	st.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,8 +1,9 @@
-// Package trace is the observability layer of the KCM simulator: a
-// structured event stream emitted by the machine's step loop and
-// memory system, and the consumers built on it — ring buffers,
-// first-N recorders, streaming JSONL sinks, and the per-predicate
-// cycle profiler.
+// Package trace is the observability layer of the KCM simulator, and
+// the only way to observe a running machine: a structured event
+// stream emitted by the machine's step loop and memory system, and
+// the consumers built on it — ring buffers, first-N recorders,
+// streaming text and JSONL sinks, and the per-predicate cycle
+// profiler.
 //
 // The design constraint, inherited from the paper's hardware
 // monitors, is that observation must not perturb the measurement:

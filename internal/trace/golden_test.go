@@ -75,6 +75,20 @@ func TestGoldenTrace(t *testing.T) {
 
 func traceLines(t *testing.T, prog string) string {
 	t.Helper()
+	rec := trace.NewRecorder(goldenEvents)
+	runHooked(t, prog, rec)
+	var b strings.Builder
+	for _, ln := range rec.Lines() {
+		b.WriteString(ln)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// runHooked runs a benchmark program cold on a fresh machine with h
+// attached.
+func runHooked(t *testing.T, prog string, h trace.Hook) {
+	t.Helper()
 	p, ok := bench.ByName(prog)
 	if !ok {
 		t.Fatalf("unknown benchmark program %q", prog)
@@ -83,8 +97,7 @@ func traceLines(t *testing.T, prog string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(goldenEvents)
-	m, err := machine.New(im, machine.Config{Hook: rec})
+	m, err := machine.New(im, machine.Config{Hook: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +108,33 @@ func traceLines(t *testing.T, prog string) string {
 	if _, err := m.Run(entry); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	for _, ln := range rec.Lines() {
-		b.WriteString(ln)
-		b.WriteByte('\n')
+}
+
+// TestTextMatchesRecorder: the streaming text sink behind kcm -trace
+// and the recorder behind the golden files render a whole run
+// identically, line for line, so both share one text format.
+func TestTextMatchesRecorder(t *testing.T) {
+	const limit = 1 << 20
+	rec := trace.NewRecorder(limit)
+	var sb strings.Builder
+	text := trace.NewText(&sb)
+	runHooked(t, "queens", trace.Tee(rec, text))
+	if err := text.Close(); err != nil {
+		t.Fatal(err)
 	}
-	return b.String()
+	lines := rec.Lines()
+	if len(lines) <= goldenEvents || len(lines) >= limit {
+		t.Fatalf("recorded %d events; want a whole run past the golden prefix", len(lines))
+	}
+	got := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(got) != len(lines) {
+		t.Fatalf("text sink wrote %d lines, recorder rendered %d", len(got), len(lines))
+	}
+	for i := range lines {
+		if got[i] != lines[i] {
+			t.Fatalf("line %d differs:\n text     %s\n recorder %s", i+1, got[i], lines[i])
+		}
+	}
 }
 
 // TestGoldenTraceDeterministic guards the golden files' foundation:

@@ -128,24 +128,63 @@ func FormatEvent(ev Event, preds *PredTable) string {
 	return b.String()
 }
 
-// JSONL streams every event as one JSON object per line. The encoder
-// is hand-rolled: field order is stable, nothing reflects, and only
-// populated fields appear, so traces diff cleanly.
-type JSONL struct {
+// lineSink is the buffered writer the streaming sinks share: one line
+// per event, the bound predicate table, and the first write error,
+// which is sticky. A bufio.Writer's error is sticky too, so checking
+// the last write of a line covers the whole line.
+type lineSink struct {
 	w     *bufio.Writer
 	preds *PredTable
 	err   error
 }
 
-// NewJSONL creates a streaming sink over w. Call Close (or Flush) to
-// drain the buffer.
-func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: bufio.NewWriterSize(w, 64*1024)}
+func newLineSink(w io.Writer) lineSink {
+	return lineSink{w: bufio.NewWriterSize(w, 64*1024)}
 }
 
 // BindPreds receives the machine's predicate table (see PredBinder);
 // bound, every event line carries its owning predicate.
-func (j *JSONL) BindPreds(t *PredTable) { j.preds = t }
+func (s *lineSink) BindPreds(t *PredTable) { s.preds = t }
+
+// Flush drains the buffer.
+func (s *lineSink) Flush() error {
+	if s.err != nil {
+		return s.err
+	}
+	return s.w.Flush()
+}
+
+// Close flushes and returns the first error the sink hit.
+func (s *lineSink) Close() error { return s.Flush() }
+
+// Text streams every event as one FormatEvent line, the macrocode
+// monitor's view (kcm -trace): the same format the golden traces pin.
+type Text struct{ lineSink }
+
+// NewText creates a streaming text sink over w. Call Close (or Flush)
+// to drain the buffer.
+func NewText(w io.Writer) *Text { return &Text{newLineSink(w)} }
+
+// Emit writes one event line. Write errors are sticky and surfaced
+// by Close.
+func (t *Text) Emit(ev Event) {
+	if t.err != nil {
+		return
+	}
+	t.w.WriteString(FormatEvent(ev, t.preds))
+	if err := t.w.WriteByte('\n'); err != nil {
+		t.err = err
+	}
+}
+
+// JSONL streams every event as one JSON object per line. The encoder
+// is hand-rolled: field order is stable, nothing reflects, and only
+// populated fields appear, so traces diff cleanly.
+type JSONL struct{ lineSink }
+
+// NewJSONL creates a streaming sink over w. Call Close (or Flush) to
+// drain the buffer.
+func NewJSONL(w io.Writer) *JSONL { return &JSONL{newLineSink(w)} }
 
 // Emit writes one event line. Write errors are sticky and surfaced
 // by Close.
@@ -178,14 +217,3 @@ func (j *JSONL) Emit(ev Event) {
 		j.err = err
 	}
 }
-
-// Flush drains the buffer.
-func (j *JSONL) Flush() error {
-	if j.err != nil {
-		return j.err
-	}
-	return j.w.Flush()
-}
-
-// Close flushes and returns the first error the sink hit.
-func (j *JSONL) Close() error { return j.Flush() }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 verification gate. Everything here must pass before a change
 # lands: formatting, vet, build, the full test suite under the race
-# detector, and the static bytecode verifier over every example
-# program and the whole benchmark suite.
+# detector, the static bytecode verifier over every example program
+# and the whole benchmark suite, and a run of every example.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -86,6 +86,9 @@ go run ./cmd/kcmd -smoke
 
 echo '== kcmvet (strict: analyzer warnings are errors)'
 go run ./cmd/kcmvet -strict -bench examples/*/main.go
+
+echo '== examples (each must run to completion and exit 0)'
+for e in examples/*/; do go run "./$e" > /dev/null; done
 
 echo '== kcmlint (host-source lint: sentinel errors, hot-loop allocs, Kind switches, handler discipline)'
 go run ./cmd/kcmlint .
