@@ -147,9 +147,14 @@ func checkSentinelCompare(fset *token.FileSet, pf parsedFile) []finding {
 }
 
 // allocFuncs are the machine's fetch-execute loops — the plain and
-// traced dispatch twins — which must stay allocation-free: an
-// allocation there shows up in every cycle of every warm benchmark.
-var allocFuncs = map[string]bool{"steps": true, "stepsTraced": true}
+// traced dispatch twins — and its data-access probe with the helpers
+// that inline to it, which must stay allocation-free: an allocation
+// there shows up in every cycle, or every simulated load and store, of
+// every warm benchmark.
+var allocFuncs = map[string]bool{
+	"steps": true, "stepsTraced": true,
+	"readData": true, "writeData": true, "rd": true, "wr": true,
+}
 
 // recvIsMachine reports whether the function's receiver is Machine or
 // *Machine.

@@ -97,15 +97,36 @@ func (m *Machine) stepsTraced(n int) {
 func (m *Machine) other() {
 	_ = make([]int, 4) // allocation outside steps: fine
 }
+
+func (m *Machine) readData(a int) int {
+	m.xs = append(m.xs, a) // flagged: the data-access probe
+	return a
+}
+
+func (m *Machine) writeData(a int) {
+	defer func() {}() // flagged twice: defer + function literal
+}
+
+func (m *Machine) rd(a int) int {
+	return []int{a}[0] // flagged: slice literal
+}
+
+func (m *Machine) wr(a int) {
+	_ = &ev{k: a} // flagged
+}
 `,
 	})
-	for _, want := range []string{"append call", "address of composite literal", "go statement", "function literal", "make call in stepsTraced"} {
+	for _, want := range []string{
+		"append call", "address of composite literal", "go statement", "function literal", "make call in stepsTraced",
+		"append call in readData", "defer statement in writeData", "function literal in writeData",
+		"slice or map literal in rd", "address of composite literal in wr",
+	} {
 		if !hasFinding(fs, want) {
 			t.Errorf("missing %q finding: %v", want, fs)
 		}
 	}
-	if len(fs) != 5 {
-		t.Fatalf("got %d findings, want 5: %v", len(fs), fs)
+	if len(fs) != 10 {
+		t.Fatalf("got %d findings, want 10: %v", len(fs), fs)
 	}
 }
 

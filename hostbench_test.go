@@ -93,6 +93,15 @@ func BenchmarkHostZebra(b *testing.B) {
 	hostRun(b, bench.Program{Name: "zebra", Source: zebraSrc, PureQuery: "zebra(_Owner)."})
 }
 
+// BenchmarkHostNrev300 times the miss-heavy run, bench.Nrev300: its
+// warm heap outgrows the global stack's data-cache section, so about
+// 92K of its 138K writes miss and evict a dirty line. It covers the
+// fill and write-back path that BenchmarkHostNrev never reaches (warm
+// nrev1 misses nothing), and the verify smoke holds it to 0 allocs/op.
+func BenchmarkHostNrev300(b *testing.B) {
+	hostRun(b, bench.Nrev300)
+}
+
 // BenchmarkHostPoolNrev times warm nrev throughput through an
 // engine.Pool under concurrent load: RunParallel issues queries from
 // GOMAXPROCS goroutines against one pool of warm machines sharing the

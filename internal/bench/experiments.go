@@ -21,6 +21,26 @@ type CacheRow struct {
 	Misses   uint64
 }
 
+// The study's two unified-cache configurations: a plain direct-mapped
+// 8K cache with the four stack bases on distinct cache indices, and
+// with every base on the same index.
+var (
+	unifiedApart = machine.Config{
+		SplitDataCache: machine.Off,
+		GlobalBase:     0x0010000, GlobalSize: 0x0200000,
+		LocalBase: 0x0400800, LocalSize: 0x0100000,
+		ChoiceBase: 0x0801000, ChoiceSize: 0x0080000,
+		TrailBase: 0x0C01800, TrailSize: 0x0080000,
+	}
+	unifiedColliding = machine.Config{
+		SplitDataCache: machine.Off,
+		GlobalBase:     0x0010000, GlobalSize: 0x0200000,
+		LocalBase: 0x0400000, LocalSize: 0x0100000,
+		ChoiceBase: 0x0800000, ChoiceSize: 0x0080000,
+		TrailBase: 0x0C00000, TrailSize: 0x0080000,
+	}
+)
+
 // CacheStudy reproduces the experiment on a workload that keeps all
 // four stacks active (queens: environments, choice points, trail and
 // heap all grow and shrink).
@@ -43,26 +63,14 @@ func CacheStudy() ([]CacheRow, error) {
 	var rows []CacheRow
 	// (a) plain direct-mapped cache, stack bases on distinct cache
 	// indices (the paper's first initialisation).
-	apart, err := run("unified, stacks apart", machine.Config{
-		SplitDataCache: machine.Off,
-		GlobalBase:     0x0010000, GlobalSize: 0x0200000,
-		LocalBase: 0x0400800, LocalSize: 0x0100000,
-		ChoiceBase: 0x0801000, ChoiceSize: 0x0080000,
-		TrailBase: 0x0C01800, TrailSize: 0x0080000,
-	})
+	apart, err := run("unified, stacks apart", unifiedApart)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, apart)
 	// (b) plain direct-mapped cache, every stack base on the same
 	// cache index (the paper's second initialisation).
-	collide, err := run("unified, stacks colliding", machine.Config{
-		SplitDataCache: machine.Off,
-		GlobalBase:     0x0010000, GlobalSize: 0x0200000,
-		LocalBase: 0x0400000, LocalSize: 0x0100000,
-		ChoiceBase: 0x0800000, ChoiceSize: 0x0080000,
-		TrailBase: 0x0C00000, TrailSize: 0x0080000,
-	})
+	collide, err := run("unified, stacks colliding", unifiedColliding)
 	if err != nil {
 		return nil, err
 	}

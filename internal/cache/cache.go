@@ -36,13 +36,26 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits()) / float64(t)
 }
 
+// line is one cache line. key packs its tag: lineValid, the zone
+// (data cache only) in bits 39..32 and the address in bits 31..0, so
+// one 64-bit compare against tag(z, va) decides a hit; 0 is an
+// invalid line.
 type line struct {
-	valid bool
+	key   uint64
 	dirty bool
-	va    uint32
-	zone  word.Zone
 	data  word.Word
 }
+
+const lineValid = 1 << 63
+
+// zoneKey is the part of a line tag a zone contributes.
+func zoneKey(z word.Zone) uint64 { return lineValid | uint64(z)<<32 }
+
+// tag is the line tag of address va in zone z (ZNone for code).
+func tag(z word.Zone, va uint32) uint64 { return zoneKey(z) | uint64(va) }
+
+func (ln *line) va() uint32      { return uint32(ln.key) }
+func (ln *line) zone() word.Zone { return word.Zone(ln.key >> 32) }
 
 // Data is the KCM data cache: 8K words total. With Split enabled
 // (the KCM configuration) the three zone bits select one of 8
@@ -70,45 +83,62 @@ const DataWords = 8 * 1024
 
 const sectionWords = 1024
 
-// NewData creates the data cache.
-func NewData(back Backing, split bool) *Data {
-	return &Data{split: split, back: back}
+// Init readies a data cache held by value; the zero Data has no
+// backing.
+func (c *Data) Init(back Backing, split bool) {
+	c.split, c.back = split, back
+}
+
+// Slot is where one zone's accesses live in the data cache: address
+// a of the zone occupies line Base | a&Mask and matches tag Key | a.
+// A caller that precomputes the Slot per zone decides a hit with one
+// index and one compare (ReadHit, WriteHit), with no branch on the
+// split flag.
+type Slot struct {
+	Base, Mask uint32
+	Key        uint64
+}
+
+// Slot returns zone z's placement: with Split, the zone's 1K section
+// (z&7); otherwise the whole 8K.
+func (c *Data) Slot(z word.Zone) Slot {
+	if c.split {
+		return Slot{Base: uint32(z&7) * sectionWords, Mask: sectionWords - 1, Key: zoneKey(z)}
+	}
+	return Slot{Mask: DataWords - 1, Key: zoneKey(z)}
 }
 
 func (c *Data) index(va uint32, z word.Zone) uint32 {
-	if c.split {
-		return uint32(z&7)*sectionWords + va%sectionWords
-	}
-	return va % DataWords
+	s := c.Slot(z)
+	return s.Base | va&s.Mask
 }
 
-// ReadFast is the inlinable hit path of Read: on a tag match it
-// counts the read and returns the word at zero cost, exactly as Read
-// would. On a miss it counts nothing and returns false — the caller
-// takes the full Read, which recounts the access and runs the fill
-// machinery. Statistics are therefore identical whichever path a
-// caller composes.
-func (c *Data) ReadFast(va uint32, z word.Zone) (word.Word, bool) {
-	ln := &c.lines[c.index(va, z)]
-	if ln.valid && ln.va == va && ln.zone == z {
-		c.stats.Reads++
-		return ln.data, true
+// ReadHit is the hit half of Read for a line index and tag key taken
+// from the access zone's Slot: on a tag match it counts the read and
+// returns the word at zero cost, exactly as Read would. On a miss it
+// counts nothing and returns false; the caller then takes Read, which
+// counts the access and fills the line.
+func (c *Data) ReadHit(i uint32, key uint64) (word.Word, bool) {
+	ln := &c.lines[i%DataWords]
+	if ln.key != key {
+		return 0, false
 	}
-	return 0, false
+	c.stats.Reads++
+	return ln.data, true
 }
 
-// WriteFast is the inlinable hit path of Write: tag match, count,
-// store, mark dirty, zero cost. A miss counts nothing; the caller's
-// full Write recounts and allocates the line.
-func (c *Data) WriteFast(va uint32, z word.Zone, w word.Word) bool {
-	ln := &c.lines[c.index(va, z)]
-	if ln.valid && ln.va == va && ln.zone == z {
-		c.stats.Writes++
-		ln.data = w
-		ln.dirty = true
-		return true
+// WriteHit is the hit half of Write, split as ReadHit: a tag match
+// counts the write, stores and marks the line dirty at zero cost; a
+// miss counts nothing and the caller takes Write.
+func (c *Data) WriteHit(i uint32, key uint64, w word.Word) bool {
+	ln := &c.lines[i%DataWords]
+	if ln.key != key {
+		return false
 	}
-	return false
+	c.stats.Writes++
+	ln.data = w
+	ln.dirty = true
+	return true
 }
 
 // Read returns the word at virtual address va (zone z), the cost in
@@ -116,7 +146,7 @@ func (c *Data) WriteFast(va uint32, z word.Zone, w word.Word) bool {
 func (c *Data) Read(va uint32, z word.Zone) (word.Word, int, error) {
 	c.stats.Reads++
 	ln := &c.lines[c.index(va, z)]
-	if ln.valid && ln.va == va && ln.zone == z {
+	if ln.key == tag(z, va) {
 		return ln.data, 0, nil
 	}
 	c.stats.ReadMiss++
@@ -136,7 +166,7 @@ func (c *Data) Write(va uint32, z word.Zone, w word.Word) (int, error) {
 	c.stats.Writes++
 	ln := &c.lines[c.index(va, z)]
 	cost := 0
-	if !(ln.valid && ln.va == va && ln.zone == z) {
+	if ln.key != tag(z, va) {
 		c.stats.WriteMiss++
 		if c.OnMiss != nil {
 			c.OnMiss(true, va, z)
@@ -148,9 +178,7 @@ func (c *Data) Write(va uint32, z word.Zone, w word.Word) (int, error) {
 		if err != nil {
 			return cost, err
 		}
-		ln.valid = true
-		ln.va = va
-		ln.zone = z
+		ln.key = tag(z, va)
 	}
 	ln.data = w
 	ln.dirty = true
@@ -167,7 +195,7 @@ func (c *Data) fill(ln *line, va uint32, z word.Zone) (int, error) {
 	if err != nil {
 		return cost, err
 	}
-	*ln = line{valid: true, va: va, zone: z, data: w}
+	*ln = line{key: tag(z, va), data: w}
 	return cost, nil
 }
 
@@ -178,9 +206,9 @@ func (c *Data) fill(ln *line, va uint32, z word.Zone) (int, error) {
 const WritebackCycles = 1
 
 func (c *Data) evict(ln *line) (int, error) {
-	if ln.valid && ln.dirty {
+	if ln.key != 0 && ln.dirty {
 		c.stats.WriteBacks++
-		if _, err := c.back.Write(ln.va, ln.data); err != nil {
+		if _, err := c.back.Write(ln.va(), ln.data); err != nil {
 			return WritebackCycles, err
 		}
 		ln.dirty = false
@@ -218,7 +246,7 @@ func (c *Data) Stats() Stats { return c.stats }
 // ok=false when the line is absent (read memory instead).
 func (c *Data) Peek(va uint32, z word.Zone) (word.Word, bool) {
 	ln := &c.lines[c.index(va, z)]
-	if ln.valid && ln.va == va && ln.zone == z {
+	if ln.key == tag(z, va) {
 		return ln.data, true
 	}
 	return 0, false
@@ -245,17 +273,17 @@ type Code struct {
 // CodeWords is the code cache capacity.
 const CodeWords = 8 * 1024
 
-// NewCode creates the code cache; prefetch is the number of
+// Init readies a code cache held by value; prefetch is the number of
 // sequential words fetched ahead on a miss (0 disables).
-func NewCode(back Backing, prefetch int) *Code {
-	return &Code{back: back, prefetch: prefetch}
+func (c *Code) Init(back Backing, prefetch int) {
+	c.back, c.prefetch = back, prefetch
 }
 
 // Read fetches a code word.
 func (c *Code) Read(va uint32) (word.Word, int, error) {
 	c.stats.Reads++
 	ln := &c.lines[va%CodeWords]
-	if ln.valid && ln.va == va {
+	if ln.key == tag(word.ZNone, va) {
 		return ln.data, 0, nil
 	}
 	c.stats.ReadMiss++
@@ -266,12 +294,12 @@ func (c *Code) Read(va uint32) (word.Word, int, error) {
 	if err != nil {
 		return 0, cost, err
 	}
-	*ln = line{valid: true, va: va, data: w}
+	*ln = line{key: tag(word.ZNone, va), data: w}
 	// Page-mode prefetch of the following words.
 	for i := 1; i <= c.prefetch; i++ {
 		pv := va + uint32(i)
 		pl := &c.lines[pv%CodeWords]
-		if pl.valid && pl.va == pv {
+		if pl.key == tag(word.ZNone, pv) {
 			continue
 		}
 		pw, pc, err := c.back.Read(pv)
@@ -279,7 +307,7 @@ func (c *Code) Read(va uint32) (word.Word, int, error) {
 			break // prefetch beyond the image is harmless
 		}
 		cost += pc
-		*pl = line{valid: true, va: pv, data: pw}
+		*pl = line{key: tag(word.ZNone, pv), data: pw}
 	}
 	return w, cost, nil
 }
@@ -297,8 +325,7 @@ func (c *Code) Touch(va uint32, n int) (cost int, allHit bool, err error) {
 	allHit = true
 	for i := 0; i < n; i++ {
 		a := va + uint32(i)
-		ln := &c.lines[a%CodeWords]
-		if ln.valid && ln.va == a {
+		if c.lines[a%CodeWords].key == tag(word.ZNone, a) {
 			c.stats.Reads++
 			continue
 		}
@@ -326,8 +353,7 @@ func (c *Code) Write(va uint32, w word.Word) (int, error) {
 	if err != nil {
 		return cost, err
 	}
-	ln := &c.lines[va%CodeWords]
-	*ln = line{valid: true, va: va, data: w}
+	c.lines[va%CodeWords] = line{key: tag(word.ZNone, va), data: w}
 	return cost, nil
 }
 
@@ -352,7 +378,7 @@ func (c *Code) InvalidateRange(start, end uint32) {
 	if end-start < CodeWords {
 		for a := start; a < end; a++ {
 			ln := &c.lines[a%CodeWords]
-			if ln.valid && ln.va == a {
+			if ln.key == tag(word.ZNone, a) {
 				*ln = line{}
 			}
 		}
@@ -360,7 +386,7 @@ func (c *Code) InvalidateRange(start, end uint32) {
 	}
 	for i := range c.lines {
 		ln := &c.lines[i]
-		if ln.valid && ln.va >= start && ln.va < end {
+		if ln.key != 0 && ln.va() >= start && ln.va() < end {
 			*ln = line{}
 		}
 	}
@@ -373,7 +399,7 @@ func (c *Code) InvalidateRange(start, end uint32) {
 func (c *Data) InvalidateRange(z word.Zone, start, end uint32) {
 	for i := range c.lines {
 		ln := &c.lines[i]
-		if ln.valid && ln.zone == z && ln.va >= start && ln.va < end {
+		if ln.key != 0 && ln.zone() == z && ln.va() >= start && ln.va() < end {
 			*ln = line{}
 		}
 	}
@@ -397,8 +423,8 @@ func (c *Data) ExportLines() []LineState {
 	var ls []LineState
 	for i := range c.lines {
 		ln := &c.lines[i]
-		if ln.valid {
-			ls = append(ls, LineState{VA: ln.va, Zone: ln.zone, Data: ln.data, Dirty: ln.dirty})
+		if ln.key != 0 {
+			ls = append(ls, LineState{VA: ln.va(), Zone: ln.zone(), Data: ln.data, Dirty: ln.dirty})
 		}
 	}
 	return ls
@@ -411,7 +437,7 @@ func (c *Data) ExportLines() []LineState {
 func (c *Data) ImportLines(ls []LineState) {
 	clear(c.lines[:]) // memclr; the per-index loop costs ~20x more
 	for _, s := range ls {
-		c.lines[c.index(s.VA, s.Zone)] = line{valid: true, dirty: s.Dirty, va: s.VA, zone: s.Zone, data: s.Data}
+		c.lines[c.index(s.VA, s.Zone)] = line{key: tag(s.Zone, s.VA), dirty: s.Dirty, data: s.Data}
 	}
 }
 
@@ -425,8 +451,8 @@ func (c *Code) ExportLines() []LineState {
 	var ls []LineState
 	for i := range c.lines {
 		ln := &c.lines[i]
-		if ln.valid {
-			ls = append(ls, LineState{VA: ln.va, Data: ln.data})
+		if ln.key != 0 {
+			ls = append(ls, LineState{VA: ln.va(), Data: ln.data})
 		}
 	}
 	return ls
@@ -436,7 +462,7 @@ func (c *Code) ExportLines() []LineState {
 func (c *Code) ImportLines(ls []LineState) {
 	clear(c.lines[:]) // memclr; the per-index loop costs ~20x more
 	for _, s := range ls {
-		c.lines[s.VA%CodeWords] = line{valid: true, va: s.VA, data: s.Data}
+		c.lines[s.VA%CodeWords] = line{key: tag(word.ZNone, s.VA), data: s.Data}
 	}
 }
 

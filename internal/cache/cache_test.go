@@ -29,10 +29,22 @@ func (b *fakeBack) Write(va uint32, w word.Word) (int, error) {
 	return b.wc, nil
 }
 
+func newData(back Backing, split bool) *Data {
+	c := new(Data)
+	c.Init(back, split)
+	return c
+}
+
+func newCode(back Backing, prefetch int) *Code {
+	c := new(Code)
+	c.Init(back, prefetch)
+	return c
+}
+
 func TestDataReadMissThenHit(t *testing.T) {
 	b := newBack()
 	b.data[100] = word.FromInt(7)
-	c := NewData(b, true)
+	c := newData(b, true)
 	w, cost, err := c.Read(100, word.ZGlobal)
 	if err != nil || w.Int() != 7 {
 		t.Fatalf("read: %v %v", w, err)
@@ -52,7 +64,7 @@ func TestDataReadMissThenHit(t *testing.T) {
 
 func TestDataCopyBack(t *testing.T) {
 	b := newBack()
-	c := NewData(b, true)
+	c := newData(b, true)
 	// A write stays in the cache until evicted.
 	c.Write(5, word.ZGlobal, word.FromInt(1))
 	if b.writes != 0 {
@@ -73,7 +85,7 @@ func TestDataCopyBack(t *testing.T) {
 
 func TestDataFlush(t *testing.T) {
 	b := newBack()
-	c := NewData(b, true)
+	c := newData(b, true)
 	for i := uint32(0); i < 10; i++ {
 		c.Write(i, word.ZGlobal, word.FromInt(int32(i)))
 	}
@@ -95,7 +107,7 @@ func TestDataFlush(t *testing.T) {
 
 func TestSplitPreventsZoneCollisions(t *testing.T) {
 	b := newBack()
-	split := NewData(b, true)
+	split := newData(b, true)
 	// Same index in two zones: both stay resident in a split cache.
 	split.Write(0x100, word.ZGlobal, word.FromInt(1))
 	split.Write(0x100, word.ZLocal, word.FromInt(2))
@@ -106,7 +118,7 @@ func TestSplitPreventsZoneCollisions(t *testing.T) {
 		t.Fatalf("split cache missed: %+v", split.Stats())
 	}
 
-	uni := NewData(newBack(), false)
+	uni := newData(newBack(), false)
 	uni.Write(0x100, word.ZGlobal, word.FromInt(1))
 	uni.Write(0x100, word.ZLocal, word.FromInt(2)) // same index: evicts
 	uni.Read(0x100, word.ZGlobal)
@@ -116,7 +128,7 @@ func TestSplitPreventsZoneCollisions(t *testing.T) {
 }
 
 func TestDataPeek(t *testing.T) {
-	c := NewData(newBack(), true)
+	c := newData(newBack(), true)
 	if _, ok := c.Peek(9, word.ZGlobal); ok {
 		t.Fatal("peek hit on empty cache")
 	}
@@ -132,7 +144,7 @@ func TestDataPeek(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	b := newBack()
-	c := NewData(b, true)
+	c := newData(b, true)
 	c.Write(1, word.ZGlobal, word.FromInt(1))
 	c.Invalidate()
 	if _, ok := c.Peek(1, word.ZGlobal); ok {
@@ -145,7 +157,7 @@ func TestCodePrefetch(t *testing.T) {
 	for i := uint32(0); i < 64; i++ {
 		b.data[i] = word.Word(i)
 	}
-	c := NewCode(b, 3)
+	c := newCode(b, 3)
 	c.Read(0) // miss: fetches 0 and prefetches 1..3
 	for i := uint32(1); i <= 3; i++ {
 		if _, cost, _ := c.Read(i); cost != 0 {
@@ -155,7 +167,7 @@ func TestCodePrefetch(t *testing.T) {
 	if s := c.Stats(); s.ReadMiss != 1 {
 		t.Fatalf("misses %d, want 1 (prefetch covers the rest)", s.ReadMiss)
 	}
-	nop := NewCode(newBackFrom(b.data), 0)
+	nop := newCode(newBackFrom(b.data), 0)
 	nop.Read(0)
 	if _, cost, _ := nop.Read(1); cost == 0 {
 		t.Fatal("prefetch disabled but word 1 cached")
@@ -172,7 +184,7 @@ func newBackFrom(data map[uint32]word.Word) *fakeBack {
 
 func TestCodeWriteThrough(t *testing.T) {
 	b := newBack()
-	c := NewCode(b, 0)
+	c := newCode(b, 0)
 	c.Write(10, word.FromInt(5))
 	if b.data[10].Int() != 5 {
 		t.Fatal("write did not reach memory (write-through!)")
@@ -193,5 +205,34 @@ func TestHitRatio(t *testing.T) {
 	}
 	if s.Hits() != 8 {
 		t.Fatalf("hits %d", s.Hits())
+	}
+}
+
+// TestSlotHits holds Slot to the layout Read and Write use: for split
+// and unified caches, the line a full Write filled is found at its
+// zone's Base|va&Mask under tag Key|va, while another zone's slot or
+// another address misses, and a miss counts nothing.
+func TestSlotHits(t *testing.T) {
+	for _, split := range []bool{true, false} {
+		c := newData(newBack(), split)
+		for z := word.Zone(0); z < 16; z++ {
+			va := 0x400000 + uint32(z)*3
+			if _, err := c.Write(va, z, word.FromInt(int32(z))); err != nil {
+				t.Fatal(err)
+			}
+			s, o := c.Slot(z), c.Slot(z^1)
+			if w, ok := c.ReadHit(s.Base|va&s.Mask, s.Key|uint64(va)); !ok || w != word.FromInt(int32(z)) {
+				t.Errorf("split=%v zone %d: ReadHit = %v, %v after Write", split, z, w, ok)
+			}
+			if _, ok := c.ReadHit(o.Base|va&o.Mask, o.Key|uint64(va)); ok {
+				t.Errorf("split=%v zone %d: hit under zone %d's tag", split, z, z^1)
+			}
+			if c.WriteHit(s.Base|(va+1)&s.Mask, s.Key|uint64(va+1), 0) {
+				t.Errorf("split=%v zone %d: WriteHit of an address never written", split, z)
+			}
+		}
+		if st := c.Stats(); st.Reads != 16 || st.Writes != 16 || st.ReadMiss != 0 {
+			t.Errorf("split=%v: stats %+v, want 16 reads (the hits), 16 writes, no read miss", split, st)
+		}
 	}
 }

@@ -99,6 +99,7 @@ func (m *Machine) LoadBatch(code []word.Word) (uint32, error) {
 		Start: stageBase, End: stageBase + pages*mmu.PageWords,
 		AllowedTypes: mmu.TypeMask(word.TDataPtr),
 	})
+	m.setProbe()
 	for i, w := range code {
 		cost, err := m.dcache.Write(stageBase+uint32(i), word.ZStatic, w)
 		m.stats.Cycles += uint64(cost)

@@ -200,11 +200,18 @@ type Machine struct {
 	// cells are write-once, so it is never reset (readback.go).
 	tb term.Builder
 
+	// The memory system is held by value, so the data-access probe
+	// (readData, writeData) reaches its tables, the data-cache lines
+	// and the counters it bumps at fixed offsets from m, loading no
+	// pointer.
 	phys   *mem.Memory
-	dmmu   *mmu.MMU
-	cmmu   *mmu.MMU
-	dcache *cache.Data
-	icache *cache.Code
+	dmmu   mmu.MMU
+	cmmu   mmu.MMU
+	dcache cache.Data
+	icache cache.Code
+	// rwin and wwin are the probe tables for reads and writes, derived
+	// from the data MMU's zone descriptors by setProbe.
+	rwin, wwin [256]window
 
 	codeTop uint32
 
@@ -355,10 +362,10 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 	m.phys = mem.New(cfg.MemWords)
 	// The two address spaces draw physical frames from one pool.
 	frames := mmu.NewFrameAlloc(m.phys)
-	m.cmmu = mmu.New(m.phys, frames)
-	m.dmmu = mmu.New(m.phys, frames)
-	m.dcache = cache.NewData(m.dmmu, boolDefault(cfg.SplitDataCache, true))
-	m.icache = cache.NewCode(m.cmmu, cfg.CodePrefetch)
+	m.cmmu.Init(m.phys, frames)
+	m.dmmu.Init(m.phys, frames)
+	m.dcache.Init(&m.dmmu, boolDefault(cfg.SplitDataCache, true))
+	m.icache.Init(&m.cmmu, cfg.CodePrefetch)
 	m.installZones()
 	if err := checkCode(im.Code, 0, 0); err != nil {
 		return nil, err
@@ -417,6 +424,7 @@ func (m *Machine) installZones() {
 		Start: 0, End: 1 << 28,
 		AllowedTypes: mmu.TypeMask(word.TCodePtr),
 	})
+	m.setProbe()
 }
 
 // Syms exposes the symbol table (for output formatting in tools).
@@ -427,26 +435,52 @@ func (m *Machine) Stats() Stats { return m.stats }
 
 // ---- data-space access paths ----
 
+// window is one row of a probe table, indexed by the type and zone
+// byte of an address word (bits 55..48: type in the low nibble, zone
+// in the high one). It folds the zone check and the data-cache tag
+// match into one lookup, as KCM runs its zone-check comparators in
+// parallel with the logical cache access (section 3.2.3): address a
+// passes the zone check exactly when a-lo < span (mmu.Window), and
+// then hits when the line at Base|a&Mask carries tag Key|a
+// (cache.Slot).
+type window struct {
+	lo, span uint32
+	cache.Slot
+}
+
+// setProbe derives both probe tables from the data MMU's zone
+// descriptors and the data cache's placement. Every change of a
+// descriptor must call it before the next access.
+func (m *Machine) setProbe() {
+	for i := range m.rwin {
+		t, z := word.Type(i&0xF), word.Zone(i>>4)
+		slot := m.dcache.Slot(z)
+		lo, span := m.dmmu.Window(z, t, false)
+		m.rwin[i] = window{lo, span, slot}
+		lo, span = m.dmmu.Window(z, t, true)
+		m.wwin[i] = window{lo, span, slot}
+	}
+}
+
 // readData reads through zone check and data cache using a tagged
-// address word. The common case — legal address, cache hit — runs
-// entirely through the inlinable fast paths (CheckFast + ReadFast:
-// one counted check, one counted read, zero cycles), exactly the
-// statistics Check + Read would produce; violations and misses fall
-// back to the full routines, which do their own counting because the
-// fast paths counted nothing.
+// address word. A legal address that hits costs one table load, one
+// window compare and one tag compare, and counts what Check + Read
+// would: one zone check, one cache read, zero cycles. A tag miss
+// counts the check and takes the full Read (fill, write-back, miss
+// event); only a failed window runs the full Check, which counts,
+// classifies and reports the trap.
 func (m *Machine) readData(addr word.Word) (word.Word, bool) {
-	if !m.dmmu.CheckFast(addr, false) {
+	e := &m.rwin[uint8(addr>>48)]
+	a := addr.Value()
+	if a-e.lo >= e.span {
 		m.err = classifyTrap(m.dmmu.Check(addr, false))
 		return 0, false
 	}
-	if w, ok := m.dcache.ReadFast(addr.Value(), addr.Zone()); ok {
+	m.dmmu.NoteCheck()
+	if w, ok := m.dcache.ReadHit(e.Base|a&e.Mask, e.Key|uint64(a)); ok {
 		return w, true
 	}
-	return m.readDataMiss(addr)
-}
-
-func (m *Machine) readDataMiss(addr word.Word) (word.Word, bool) {
-	w, cost, err := m.dcache.Read(addr.Value(), addr.Zone())
+	w, cost, err := m.dcache.Read(a, addr.Zone())
 	m.stats.Cycles += uint64(cost)
 	if err != nil {
 		m.err = classifyTrap(err)
@@ -455,21 +489,21 @@ func (m *Machine) readDataMiss(addr word.Word) (word.Word, bool) {
 	return w, true
 }
 
-// writeData writes through zone check and data cache; fast/slow path
-// split as readData.
+// writeData writes through zone check and data cache; the probe
+// mirrors readData's against the write table, which also closes
+// write-protected zones.
 func (m *Machine) writeData(addr word.Word, w word.Word) bool {
-	if !m.dmmu.CheckFast(addr, true) {
+	e := &m.wwin[uint8(addr>>48)]
+	a := addr.Value()
+	if a-e.lo >= e.span {
 		m.err = classifyTrap(m.dmmu.Check(addr, true))
 		return false
 	}
-	if m.dcache.WriteFast(addr.Value(), addr.Zone(), w) {
+	m.dmmu.NoteCheck()
+	if m.dcache.WriteHit(e.Base|a&e.Mask, e.Key|uint64(a), w) {
 		return true
 	}
-	return m.writeDataMiss(addr, w)
-}
-
-func (m *Machine) writeDataMiss(addr word.Word, w word.Word) bool {
-	cost, err := m.dcache.Write(addr.Value(), addr.Zone(), w)
+	cost, err := m.dcache.Write(a, addr.Zone(), w)
 	m.stats.Cycles += uint64(cost)
 	if err != nil {
 		m.err = classifyTrap(err)
@@ -478,9 +512,13 @@ func (m *Machine) writeDataMiss(addr word.Word, w word.Word) bool {
 	return true
 }
 
-// rd / wr are internal helpers addressing a zone directly.
-func (m *Machine) rd(z word.Zone, a uint32) (word.Word, bool) {
-	return m.readData(word.DataPtr(z, a))
+// rd / wr are internal helpers addressing a zone directly. Each
+// inlines to one call of the probe, so an access adds no call level;
+// rd's named results keep it inside the inliner's budget, and
+// scripts/verify.sh fails if either stops inlining.
+func (m *Machine) rd(z word.Zone, a uint32) (w word.Word, ok bool) {
+	w, ok = m.readData(word.DataPtr(z, a))
+	return
 }
 
 func (m *Machine) wr(z word.Zone, a uint32, w word.Word) bool {

@@ -149,15 +149,15 @@ var unmappedTable = func() (t [NumPages]int32) {
 	return
 }()
 
-// New creates an MMU backed by physical memory, drawing frames from
-// the shared allocator (nil creates a private one).
-func New(m *mem.Memory, frames *FrameAlloc) *MMU {
+// Init readies an MMU held by value: backed by physical memory,
+// drawing frames from the shared allocator (nil creates a private
+// one), with every page unmapped.
+func (u *MMU) Init(m *mem.Memory, frames *FrameAlloc) {
 	if frames == nil {
 		frames = NewFrameAlloc(m)
 	}
-	u := &MMU{mem: m, frames: frames}
+	u.mem, u.frames = m, frames
 	copy(u.table[:], unmappedTable[:])
-	return u
 }
 
 // SetZone installs the descriptor for zone z.
@@ -196,26 +196,27 @@ func (u *MMU) Check(addr word.Word, isWrite bool) error {
 	return nil
 }
 
-// CheckFast is the inlinable hit path of Check: the same zone check,
-// in the same spirit the hardware runs it — a handful of comparators
-// in parallel with the cache access. On success it counts the check
-// and returns true; on any violation it counts nothing and returns
-// false, and the caller takes the full Check for the classified,
-// counted trap. Splitting it this way keeps the per-access cost of a
-// legal reference to a few inlined compares while the statistics
-// stay exactly those of Check alone.
-func (u *MMU) CheckFast(addr word.Word, isWrite bool) bool {
-	a := addr.Value()
-	z := &u.zones[addr.Zone()]
-	if a&^uint32(addrMask) == 0 &&
-		z.Start <= a && a < z.End &&
-		z.AllowedTypes&(1<<addr.Type()) != 0 &&
-		!(isWrite && z.WriteProtect) {
-		u.stats.ZoneChecks++
-		return true
+// Window returns the addresses a data word of type t may reach in
+// zone z as one unsigned range: Check(addr, isWrite) passes for an
+// address word of that type and zone exactly when
+// addr.Value()-lo < span. The window is the zone's limits clamped to
+// the 28 implemented address bits; span is 0, so nothing passes, when
+// the zone is unmapped, does not allow t, or is written while
+// write-protected. It is the zone-check comparators folded into one
+// compare, for callers that precompute it per type and zone and
+// count the passing check with NoteCheck.
+func (u *MMU) Window(z word.Zone, t word.Type, isWrite bool) (lo, span uint32) {
+	d := u.zones[z]
+	end := min(d.End, addrMask+1)
+	if !d.Allows(t) || isWrite && d.WriteProtect || d.Start >= end {
+		return 0, 0
 	}
-	return false
+	return d.Start, end - d.Start
 }
+
+// NoteCheck counts one zone check that passed, decided by the caller
+// from a Window: the statistics effect of a passing Check.
+func (u *MMU) NoteCheck() { u.stats.ZoneChecks++ }
 
 // Translate maps a virtual word address to a physical one, demand-
 // allocating a frame on first touch (the paging traffic itself is

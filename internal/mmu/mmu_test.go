@@ -10,7 +10,9 @@ import (
 
 func newMMU(t *testing.T) *MMU {
 	t.Helper()
-	return New(mem.New(8*PageWords), nil)
+	u := new(MMU)
+	u.Init(mem.New(8*PageWords), nil)
+	return u
 }
 
 func TestDemandPaging(t *testing.T) {
@@ -40,7 +42,8 @@ func TestDemandPaging(t *testing.T) {
 }
 
 func TestOutOfPhysicalMemory(t *testing.T) {
-	u := New(mem.New(2*PageWords), nil)
+	u := new(MMU)
+	u.Init(mem.New(2*PageWords), nil)
 	if _, err := u.Translate(0); err != nil {
 		t.Fatal(err)
 	}

@@ -201,8 +201,12 @@ func (w Word) FunctorArity() int { return int(w.Value() & 0xFF) }
 // CodePtr builds a code-space pointer (continuation, alternative...).
 func CodePtr(a uint32) Word { return Make(TCodePtr, ZCode, a) }
 
-// DataPtr builds an untyped data pointer into zone z.
-func DataPtr(z Zone, a uint32) Word { return Make(TDataPtr, z, a) }
+// DataPtr builds an untyped data pointer into zone z. It is Make
+// spelled out: the machine builds one per zone-addressed access, and
+// one inlining level fewer keeps its access helpers inlinable.
+func DataPtr(z Zone, a uint32) Word {
+	return Word(uint64(a) | uint64(TDataPtr)<<typeShift | uint64(z&zoneMask)<<zoneShift)
+}
 
 // Invalid returns the trap word written into freshly popped or
 // protected cells when the machine runs with debug scrubbing on.

@@ -116,3 +116,15 @@ func TestZoneAndTypeNames(t *testing.T) {
 		t.Error("type names wrong")
 	}
 }
+
+// TestDataPtrIsMake holds DataPtr, which spells Make out, to Make's
+// encoding for every zone byte, in range or not.
+func TestDataPtrIsMake(t *testing.T) {
+	for z := 0; z < 256; z++ {
+		for _, a := range []uint32{0, 0x10020, 0xFFFFFFFF} {
+			if got, want := DataPtr(Zone(z), a), Make(TDataPtr, Zone(z), a); got != want {
+				t.Fatalf("DataPtr(%d, %#x) = %#x, want %#x", z, a, uint64(got), uint64(want))
+			}
+		}
+	}
+}

@@ -43,8 +43,17 @@ go test -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDi
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
 go test -count=1 -run '^$' -fuzz 'FuzzRestoreBlob' -fuzztime 5s ./internal/machine/
 
-echo '== cycle-count pin (kcmbench counters must not drift)'
-go test -run 'TestCyclePin' ./internal/bench/
+echo '== cycle-count pin (kcmbench counters and every other machine.Result counter must not drift)'
+go test -run 'TestCyclePin|TestCounterPin' ./internal/bench/
+
+echo '== probe inlining (rd and wr must inline to one call of the data-access probe)'
+inl=$(go build -gcflags=-m ./internal/machine 2>&1)
+for f in rd wr; do
+    if ! echo "$inl" | grep -q "can inline (\*Machine)\.$f\$"; then
+        echo "FAIL: (*Machine).$f no longer inlines; every simulated access would pay a second call" >&2
+        exit 1
+    fi
+done
 
 echo '== gc stress (benchmarks in tiny heaps, several collections, under -race)'
 go test -race -run 'TestGCStress' ./internal/bench/
@@ -93,20 +102,25 @@ for e in examples/*/; do go run "./$e" > /dev/null; done
 echo '== kcmlint (host-source lint: sentinel errors, hot-loop allocs, Kind switches, handler discipline)'
 go run ./cmd/kcmlint .
 
-echo '== host-bench smoke (warm nrev, must run allocation-free)'
-out=$(go test -run '^$' -bench '^BenchmarkHostNrev$' -benchtime 1x -benchmem .)
+echo '== host-bench smoke (warm nrev, zebra and the miss-heavy nrev300, each must run allocation-free)'
+out=$(go test -run '^$' -bench '^BenchmarkHost(Nrev|Zebra|Nrev300)$' -benchtime 1x -benchmem .)
 echo "$out"
 echo "$out" | awk '
-/^BenchmarkHostNrev/ {
-    seen = 1
+/^BenchmarkHost(Nrev|Zebra|Nrev300)(-[0-9]+)?[ \t]/ {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    seen[name] = 1
     for (i = 1; i < NF; i++) {
         if ($(i + 1) == "allocs/op" && $i + 0 != 0) {
-            print "FAIL: " $i " allocs/op on warm nrev, want 0" > "/dev/stderr"
+            print "FAIL: " $i " allocs/op on " name ", want 0" > "/dev/stderr"
             exit 1
         }
     }
 }
-END { if (!seen) { print "FAIL: BenchmarkHostNrev did not run" > "/dev/stderr"; exit 1 } }
+END {
+    split("BenchmarkHostNrev BenchmarkHostZebra BenchmarkHostNrev300", want, " ")
+    for (i in want) if (!(want[i] in seen)) { print "FAIL: " want[i] " did not run" > "/dev/stderr"; exit 1 }
+}
 '
 
 echo 'verify: all gates passed'
