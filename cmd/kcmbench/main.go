@@ -129,86 +129,8 @@ func main() {
 		return
 	}
 
-	run := func(name string, f func() error) {
-		if *table != "all" && *table != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "kcmbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	if err := bench.WriteTables(os.Stdout, *table); err != nil {
+		fmt.Fprintf(os.Stderr, "kcmbench: %v\n", err)
+		os.Exit(1)
 	}
-
-	run("1", func() error {
-		rows, err := bench.Table1()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Table 1: static code size comparison (paper avgs: KCM/PLM instr 1.10, bytes 2.96; SPUR/KCM instr 13.61, bytes 6.43)")
-		fmt.Println(bench.RenderTable1(rows))
-		return nil
-	})
-	run("2", func() error {
-		rows, err := bench.Table2()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Table 2: comparison with PLM (paper avg ratio 3.05)")
-		fmt.Println(bench.RenderTimeTable(rows, "PLM"))
-		return nil
-	})
-	run("3", func() error {
-		rows, err := bench.Table3()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Table 3: comparison with QUINTUS/SUN3-280 (paper avg ratio 7.85)")
-		fmt.Println(bench.RenderTimeTable(rows, "QUINTUS"))
-		return nil
-	})
-	run("4", func() error {
-		rows, err := bench.Table4()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Table 4: peak performance of dedicated Prolog machines (paper KCM: 833 - 760)")
-		fmt.Println(bench.RenderTable4(rows))
-		return nil
-	})
-	run("cache", func() error {
-		rows, err := bench.CacheStudy()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Cache-collision study (section 3.2.4)")
-		fmt.Println(bench.RenderCacheStudy(rows))
-		return nil
-	})
-	run("shallow", func() error {
-		rows, err := bench.AblationShallow()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: shallow backtracking vs eager choice points")
-		fmt.Println(bench.RenderShallow(rows))
-		return nil
-	})
-	run("deref", func() error {
-		rows, err := bench.AblationUnit("deref")
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: dereference hardware (1 cycle/link vs software loop)")
-		fmt.Println(bench.RenderUnit(rows, "deref"))
-		return nil
-	})
-	run("trail", func() error {
-		rows, err := bench.AblationUnit("trail")
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: parallel trail check vs explicit comparisons")
-		fmt.Println(bench.RenderUnit(rows, "trail"))
-		return nil
-	})
 }

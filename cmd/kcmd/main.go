@@ -65,7 +65,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7071", "listen address (use :0 for an ephemeral port)")
 		poolSize = flag.Int("pool", 0, "machines per program (0 = GOMAXPROCS)")
-		prof     = flag.Bool("profile", false, "pool-wide per-predicate cycle profiling")
 		budget   = flag.Uint64("budget", 0, "default step budget per execution slice (0 = 50M)")
 		timeout  = flag.Duration("timeout", 0, "default wall-clock bound per request slice (0 = 30s)")
 		idle     = flag.Duration("idle", 60*time.Second, "evict sessions idle this long")
@@ -99,7 +98,6 @@ func main() {
 		Programs: programs,
 		PoolOptions: []engine.PoolOption{
 			engine.WithPoolSize(*poolSize),
-			engine.WithProfiling(*prof),
 		},
 		DefaultBudget:  *budget,
 		DefaultTimeout: *timeout,

@@ -3,16 +3,11 @@
 // instruction stream (control-flow graph, register init-before-use,
 // permanent-variable lifetimes, choice-point chain discipline, label
 // validity, unreachable code), links the module, and re-checks the
-// encoded image the way the loader would. On top of the verifier it
-// runs the whole-image analyzer and can report its artifacts: the
-// predicate call graph, inferred entry modes and determinism classes,
-// dead code, and the full facts table.
+// encoded image the way the loader would.
 //
 // Usage:
 //
-//	kcmvet [-disasm] [-bench] [-v] [-strict]
-//	       [-callgraph] [-modes] [-deadcode] [-facts] [-json]
-//	       [file.pl|file.go]...
+//	kcmvet [-disasm] [-bench] [-v] [-strict] [file.pl|file.go]...
 //
 // A .pl argument is vetted as one program. A .go argument is scanned
 // for top-level backquoted string constants that parse as Prolog
@@ -43,17 +38,11 @@ func main() {
 	benchAll := flag.Bool("bench", false, "also vet the internal benchmark suite")
 	verbose := flag.Bool("v", false, "report clean programs too")
 	strict := flag.Bool("strict", false, "treat compiler warnings as failures")
-	callgraph := flag.Bool("callgraph", false, "print the predicate call graph (Graphviz dot)")
-	modes := flag.Bool("modes", false, "print inferred entry modes and determinism classes")
-	deadcode := flag.Bool("deadcode", false, "print dead predicates, necks and switch arms")
-	facts := flag.Bool("facts", false, "print the full whole-image facts table")
-	jsonOut := flag.Bool("json", false, "print the facts artifact as JSON")
 	flag.Parse()
 	if flag.NArg() == 0 && !*benchAll {
-		fmt.Fprintln(os.Stderr, "usage: kcmvet [-disasm] [-bench] [-v] [-strict] [-callgraph] [-modes] [-deadcode] [-facts] [-json] [file.pl|file.go]...")
+		fmt.Fprintln(os.Stderr, "usage: kcmvet [-disasm] [-bench] [-v] [-strict] [file.pl|file.go]...")
 		os.Exit(2)
 	}
-	wantFacts := *callgraph || *modes || *deadcode || *facts || *jsonOut
 
 	bad := false
 	run := func(name, src, query string, partial bool) {
@@ -81,9 +70,6 @@ func main() {
 		}
 		if *disasm && rep != nil && rep.Image != nil {
 			fmt.Print(asm.Disasm(rep.Image))
-		}
-		if wantFacts && rep != nil && rep.Facts != nil {
-			printFacts(name, rep.Facts, *callgraph, *modes, *deadcode, *facts, *jsonOut)
 		}
 	}
 
@@ -126,48 +112,6 @@ func main() {
 	}
 }
 
-// printFacts renders the requested whole-image artifacts for one
-// vetted program.
-func printFacts(name string, f *analysis.ImageFacts, callgraph, modes, deadcode, facts, jsonOut bool) {
-	if jsonOut {
-		if err := f.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "kcmvet: %s: %v\n", name, err)
-		}
-		return
-	}
-	if facts {
-		fmt.Printf("== %s\n%s", name, f.Flat())
-		return
-	}
-	if callgraph {
-		fmt.Print(f.CallGraphDot())
-	}
-	if modes {
-		for _, pf := range f.Preds {
-			ms := make([]string, len(pf.Mode))
-			for i, m := range pf.Mode {
-				ms[i] = m.String()
-			}
-			fmt.Printf("%s: %s det=%v mode=(%s)\n", name, pf.Name, pf.Det, strings.Join(ms, ","))
-		}
-	}
-	if deadcode {
-		for _, pn := range f.DeadPreds() {
-			fmt.Printf("%s: dead predicate %s\n", name, pn)
-		}
-		for _, pf := range f.Preds {
-			for _, a := range pf.DeadNecks {
-				fmt.Printf("%s: %s: dead choice point at %d (neck never materialises)\n",
-					name, pf.Name, a)
-			}
-			for _, da := range pf.DeadArms {
-				fmt.Printf("%s: %s: dead switch arm %s at %d\n",
-					name, pf.Name, da.Arm, da.Addr)
-			}
-		}
-	}
-}
-
 // Report is the outcome of vetting one program.
 type Report struct {
 	Diags    []analysis.Diag
@@ -175,7 +119,6 @@ type Report struct {
 	Preds    int
 	Instrs   int
 	Image    *asm.Image
-	Facts    *analysis.ImageFacts
 }
 
 // vetSource compiles a Prolog program (with an optional query goal),
@@ -240,8 +183,5 @@ func vetSource(src, query string, partial bool) (*Report, error) {
 	}
 	rep.Image = im
 	rep.Diags = append(rep.Diags, analysis.VetEncoded(im.Code, base, im.Entries)...)
-	if len(rep.Diags) == 0 {
-		rep.Facts = analysis.AnalyzeImage(im.Code, base, im.Entries, nil)
-	}
 	return rep, nil
 }

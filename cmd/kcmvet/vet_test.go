@@ -8,7 +8,7 @@ import (
 )
 
 // TestExamplesClean extracts every embedded Prolog program from the
-// example commands and requires the analyzer to come back empty.
+// example commands and requires the verifier to come back empty.
 func TestExamplesClean(t *testing.T) {
 	files, err := filepath.Glob("../../examples/*/main.go")
 	if err != nil {

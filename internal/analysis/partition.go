@@ -12,14 +12,14 @@ import (
 // to the analyzer's pre-link form: instructions with intra-predicate
 // labels remapped to local instruction indices. Call and execute
 // targets are left as the absolute code-space addresses the linker
-// wrote — the whole-image analyzer resolves them against the entry
-// table, and the per-unit passes never read them.
+// wrote — VetEncoded checks them against the entry table, and the
+// per-unit passes never read them.
 type unitInfo struct {
-	pi         term.Indicator
-	start, end uint32 // code-space address range [start, end)
-	instrs     []kcmisa.Instr
-	addrs      []uint32 // code-space address of each instruction
-	bad        bool     // a label left the predicate: flow analysis is off
+	pi     term.Indicator
+	start  uint32 // code-space address of the entry
+	instrs []kcmisa.Instr
+	addrs  []uint32 // code-space address of each instruction
+	bad    bool     // a label left the predicate: flow analysis is off
 }
 
 // unit wraps the slice as an analyzable Unit.
@@ -74,7 +74,7 @@ func partitionEncoded(code []word.Word, base uint32, entries map[term.Indicator]
 
 	var units []unitInfo
 	for _, p := range preds {
-		ui := unitInfo{pi: p.pi, start: p.start, end: p.end}
+		ui := unitInfo{pi: p.pi, start: p.start}
 		i0, ok := byAddr[p.start]
 		if !ok {
 			u := Unit{PI: p.pi, Addr: func(int) uint32 { return p.start }}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"hash/fnv"
 	"sync"
 
 	"repro/internal/word"
@@ -24,6 +25,18 @@ var vcache = struct {
 // vcacheLimit bounds the cache; a full cache is cleared wholesale
 // (load patterns are bursty, LRU bookkeeping is not worth it).
 const vcacheLimit = 1024
+
+func hashWords(ws []word.Word) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, w := range ws {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(uint64(w) >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
 
 func vcacheKey(code []word.Word, base, codeTop uint32) uint64 {
 	h := hashWords(code)

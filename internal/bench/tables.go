@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/asm"
@@ -322,4 +323,70 @@ func RenderTable4(rows []Table4Row) string {
 			r.Machine, r.By, con, rev, r.WordBits, r.Comment, tag)
 	}
 	return b.String()
+}
+
+// ---------------- the whole report ----------------
+
+// paperTable is one block of the report: a table or experiment's
+// heading and a function that measures and renders its rows.
+type paperTable struct {
+	name, heading string
+	render        func() (string, error)
+}
+
+// rendered pairs a row source with its renderer.
+func rendered[R any](rows func() ([]R, error), render func([]R) string) func() (string, error) {
+	return func() (string, error) {
+		rs, err := rows()
+		if err != nil {
+			return "", err
+		}
+		return render(rs), nil
+	}
+}
+
+var paperTables = []paperTable{
+	{"1", "Table 1: static code size comparison (paper avgs: KCM/PLM instr 1.10, bytes 2.96; SPUR/KCM instr 13.61, bytes 6.43)",
+		rendered(Table1, RenderTable1)},
+	{"2", "Table 2: comparison with PLM (paper avg ratio 3.05)",
+		rendered(Table2, func(rs []TimeRow) string { return RenderTimeTable(rs, "PLM") })},
+	{"3", "Table 3: comparison with QUINTUS/SUN3-280 (paper avg ratio 7.85)",
+		rendered(Table3, func(rs []TimeRow) string { return RenderTimeTable(rs, "QUINTUS") })},
+	{"4", "Table 4: peak performance of dedicated Prolog machines (paper KCM: 833 - 760)",
+		rendered(Table4, RenderTable4)},
+	{"cache", "Cache-collision study (section 3.2.4)",
+		rendered(CacheStudy, RenderCacheStudy)},
+	{"shallow", "Ablation: shallow backtracking vs eager choice points",
+		rendered(AblationShallow, RenderShallow)},
+	{"deref", "Ablation: dereference hardware (1 cycle/link vs software loop)",
+		rendered(func() ([]UnitRow, error) { return AblationUnit("deref") },
+			func(rs []UnitRow) string { return RenderUnit(rs, "deref") })},
+	{"trail", "Ablation: parallel trail check vs explicit comparisons",
+		rendered(func() ([]UnitRow, error) { return AblationUnit("trail") },
+			func(rs []UnitRow) string { return RenderUnit(rs, "trail") })},
+}
+
+// WriteTables writes the report kcmbench prints: for the named table
+// (1, 2, 3, 4, cache, shallow, deref or trail), or for every table in
+// that order when which is "all", its heading line and then its
+// rendered rows followed by a blank line.
+func WriteTables(w io.Writer, which string) error {
+	found := false
+	for _, t := range paperTables {
+		if which != "all" && which != t.name {
+			continue
+		}
+		found = true
+		s, err := t.render()
+		if err != nil {
+			return fmt.Errorf("%s: %w", t.name, err)
+		}
+		if _, err := fmt.Fprintf(w, "%s\n%s\n", t.heading, s); err != nil {
+			return err
+		}
+	}
+	if !found {
+		return fmt.Errorf("unknown table %q", which)
+	}
+	return nil
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/dyndb"
 	"repro/internal/machine"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 )
 
 // Pool is a fixed-size pool of machines per compiled image. The zero
@@ -35,7 +34,6 @@ import (
 type Pool struct {
 	cfg  machine.Config
 	size int
-	agg  *trace.Agg // pool-wide profile; nil unless built WithProfiling(true)
 
 	mu     sync.Mutex
 	images map[*asm.Image]*imagePool
@@ -57,7 +55,9 @@ type imagePool struct {
 type PoolOption func(*Pool)
 
 // WithConfig replaces the whole machine configuration the pool builds
-// its machines with.
+// its machines with. Every machine shares cfg.Hook, and hooks are not
+// safe for concurrent use, so a pool that runs queries concurrently
+// needs a nil Hook.
 func WithConfig(cfg machine.Config) PoolOption {
 	return func(p *Pool) { p.cfg = cfg }
 }
@@ -66,20 +66,6 @@ func WithConfig(cfg machine.Config) PoolOption {
 // GOMAXPROCS(0)).
 func WithPoolSize(n int) PoolOption {
 	return func(p *Pool) { p.size = n }
-}
-
-// WithProfiling arms pool-wide per-predicate cycle profiling: every
-// machine the pool builds carries its own trace.Profiler (no
-// cross-machine locking on the hot path), and each query's attribution
-// is merged into one aggregate after the query completes. Read the
-// aggregate with Profile.
-func WithProfiling(on bool) PoolOption {
-	return func(p *Pool) {
-		p.agg = nil
-		if on {
-			p.agg = trace.NewAgg()
-		}
-	}
 }
 
 // New creates a machine pool. With no options it serves each image
@@ -91,11 +77,6 @@ func New(options ...PoolOption) *Pool {
 	}
 	for _, opt := range options {
 		opt(p)
-	}
-	if p.agg != nil {
-		// Armed after every option, so WithConfig in any position keeps
-		// the profiler factory.
-		p.cfg.HookFactory = func() trace.Hook { return trace.NewProfiler() }
 	}
 	if p.size <= 0 {
 		p.size = runtime.GOMAXPROCS(0)
@@ -128,23 +109,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 	st.InUse = st.Built - st.Idle
 	return st
-}
-
-// Profile returns the pool-wide aggregated profile, or nil when the
-// pool was built without profiling. The aggregate is fixed at New, so
-// reading it takes no lock.
-func (p *Pool) Profile() *trace.Agg { return p.agg }
-
-// harvest merges a machine's per-query profile into the pool
-// aggregate. It must run after the query's last slice and before the
-// machine is released (the next query's Reset clears the profiler).
-func (p *Pool) harvest(m *machine.Machine) {
-	if p.agg == nil {
-		return
-	}
-	if prof, ok := m.Hook().(*trace.Profiler); ok {
-		p.agg.Add(prof)
-	}
 }
 
 // Option configures one pool query.
@@ -215,16 +179,15 @@ func (p *Pool) Query(ctx context.Context, im *asm.Image, options ...Option) (*co
 // Only the first machine actually executes the warm query; the rest
 // are stamped from its snapshot (machine.Capture/Restore), which
 // skips the simulation entirely and leaves every pool member in the
-// byte-identical warm state a real run would have produced. Profiled
-// or traced pools keep the per-machine real runs: their hooks observe
-// warm-run events and their aggregates count every machine's cycles,
-// which a stamp would silently skip.
+// byte-identical warm state a real run would have produced. Traced
+// pools keep the per-machine real runs: their hook observes every
+// machine's warm-run events, which a stamp would silently skip.
 func (p *Pool) Warm(ctx context.Context, im *asm.Image) error {
 	entry, ok := im.Entry(compiler.QueryPI)
 	if !ok {
 		return fmt.Errorf("engine: image has no query entry point")
 	}
-	stamp := p.cfg.Hook == nil && p.cfg.HookFactory == nil
+	stamp := p.cfg.Hook == nil
 	var proto *snapshot.State
 	// Hold all machines at once so every pool member gets one warm
 	// state, instead of re-warming the same machine repeatedly.
@@ -232,9 +195,6 @@ func (p *Pool) Warm(ctx context.Context, im *asm.Image) error {
 	var ip *imagePool
 	defer func() {
 		for _, m := range machines {
-			// Warm runs are real simulated work; their cycles join the
-			// pool profile like any query's.
-			p.harvest(m)
 			p.release(ip, m)
 		}
 	}()

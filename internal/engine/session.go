@@ -194,18 +194,15 @@ func (s *Session) Result() machine.Result {
 	return s.m.Result()
 }
 
-// Close ends the session: the profile is harvested into the pool
-// aggregate and the machine is released for the next query. The final
-// counters stay readable through Result. Close is idempotent.
+// Close ends the session and releases the machine for the next query.
+// The final counters stay readable through Result. Close is
+// idempotent.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	s.final = s.m.Result()
-	// Harvest before release on every path, as Pool.Query always did:
-	// even a faulted enumeration's partial cycles are attributed.
-	s.p.harvest(s.m)
 	s.p.release(s.ip, s.m)
 	s.m = nil
 }

@@ -147,35 +147,24 @@ func TestSessionSetBudget(t *testing.T) {
 	}
 }
 
-// TestPoolOptions: New's functional options mirror core — pool size
-// and profiling — and an explicit Warm builds the full complement.
+// TestPoolOptions: New's functional options set the machine
+// configuration and the pool size, and an explicit Warm builds the
+// full complement.
 func TestPoolOptions(t *testing.T) {
 	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5], R).")
-
-	for i, options := range [][]engine.PoolOption{
-		{engine.WithConfig(machine.Config{}), engine.WithPoolSize(2), engine.WithProfiling(true)},
-		// Options apply in any order: a WithConfig after WithProfiling
-		// must not drop the profiler.
-		{engine.WithProfiling(true), engine.WithPoolSize(2), engine.WithConfig(machine.Config{})},
-	} {
-		pool := engine.New(options...)
-		if pool.Size() != 2 {
-			t.Fatalf("order %d: Size = %d, want 2", i, pool.Size())
-		}
-		if err := pool.Warm(context.Background(), im); err != nil {
-			t.Fatal(err)
-		}
-		sol, err := pool.Query(context.Background(), im)
-		if err != nil || !sol.Success {
-			t.Fatalf("order %d: query: %v %v", i, err, sol)
-		}
-		// Warm built and warmed the full complement before the query.
-		if st := pool.Stats(); st.Built != 2 || st.InUse != 0 {
-			t.Fatalf("order %d: after warm+query: %+v, want 2 built, 0 in use", i, st)
-		}
-		// Profiling armed at New attributed the query's cycles.
-		if agg := pool.Profile(); agg == nil || agg.Total() == 0 {
-			t.Fatalf("order %d: WithProfiling(true) collected nothing", i)
-		}
+	pool := engine.New(engine.WithConfig(machine.Config{}), engine.WithPoolSize(2))
+	if pool.Size() != 2 {
+		t.Fatalf("Size = %d, want 2", pool.Size())
+	}
+	if err := pool.Warm(context.Background(), im); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := pool.Query(context.Background(), im)
+	if err != nil || !sol.Success {
+		t.Fatalf("query: %v %v", err, sol)
+	}
+	// Warm built and warmed the full complement before the query.
+	if st := pool.Stats(); st.Built != 2 || st.InUse != 0 {
+		t.Fatalf("after warm+query: %+v, want 2 built, 0 in use", st)
 	}
 }

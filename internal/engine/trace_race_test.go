@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/asm"
@@ -15,14 +14,13 @@ import (
 )
 
 // TestPoolTraceRace is TestPoolRace with observability armed: 8
-// goroutines hammer a profiled pool while, interleaved, each also
-// drives budget-suspended core.Solutions sessions (RunFor slices that
-// suspend and resume, plus Redo between solutions) carrying their own
+// goroutines hammer a pool while, interleaved, each also drives
+// budget-suspended core.Solutions sessions (RunFor slices that suspend
+// and resume, plus Redo between solutions) carrying their own
 // profiler and ring sink. Under -race this is the safety check for the
 // tracing layer; the assertions are the conservation law under
-// concurrency — the pool aggregate equals the exact sum of every
-// pooled query's cycle counter, and each session's profiler equals its
-// own machine's counter.
+// concurrency — each session's profiler equals its own machine's
+// cycle counter — and that every ring saw events.
 func TestPoolTraceRace(t *testing.T) {
 	queens, ok := bench.ByName("queens")
 	if !ok {
@@ -49,8 +47,7 @@ func TestPoolTraceRace(t *testing.T) {
 		}
 		jobs = append(jobs, job{prog: prog, query: pq.query, want: sol.String()})
 	}
-	pool := engine.New(engine.WithPoolSize(4), engine.WithProfiling(true))
-	agg := pool.Profile()
+	pool := engine.New(engine.WithPoolSize(4))
 
 	// Compile the pool images once, up front (compilation shares the
 	// per-program symbol table and is not part of what this test
@@ -68,7 +65,6 @@ func TestPoolTraceRace(t *testing.T) {
 		poolJobs = append(poolJobs, poolJob{im: im, want: j.want})
 	}
 
-	var pooledCycles atomic.Uint64 // sum of every pooled query's cycles
 	const goroutines, rounds = 8, 5
 	errs := make(chan error, goroutines*2)
 	var wg sync.WaitGroup
@@ -87,7 +83,6 @@ func TestPoolTraceRace(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d round %d: %s, want %s", g, r, got, j.want)
 					return
 				}
-				pooledCycles.Add(sol.Result.Stats.Cycles)
 
 				// Between pooled queries, run a private session that
 				// suspends on a small instruction budget (forcing the
@@ -144,16 +139,5 @@ func TestPoolTraceRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if t.Failed() {
-		return
-	}
-	// Conservation at the pool level: every simulated cycle any pooled
-	// query burned is attributed exactly once in the aggregate.
-	if got, want := agg.Total(), pooledCycles.Load(); got != want {
-		t.Fatalf("pool aggregate total %d != sum of pooled query cycles %d", got, want)
-	}
-	if rows := agg.Rows(); len(rows) == 0 {
-		t.Fatal("pool aggregate has no rows")
 	}
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/compiler"
@@ -51,15 +50,22 @@ func patchPred(t *testing.T, m *Machine, c *compiler.Compiler, im *asm.Image, pi
 	return start, start + uint32(len(im2.Code))
 }
 
-// predRange reads a predicate's code range from the whole-image
-// analysis of the linked image.
+// predRange reads a predicate's code range from the image's entry
+// table: from its entry to the next-higher entry, or to the end of the
+// image (linked at address 0).
 func predRange(t *testing.T, im *asm.Image, pi term.Indicator) (uint32, uint32) {
 	t.Helper()
-	pf := analysis.AnalyzeImage(im.Code, 0, im.Entries, nil).Pred(pi)
-	if pf == nil {
-		t.Fatalf("no facts for %v", pi)
+	lo, ok := im.Entry(pi)
+	if !ok {
+		t.Fatalf("no entry for %v", pi)
 	}
-	return pf.Start, pf.End
+	hi := uint32(len(im.Code))
+	for _, a := range im.Entries {
+		if a > lo && a < hi {
+			hi = a
+		}
+	}
+	return lo, hi
 }
 
 // TestDynPatchInvalidatesOnlyOverlappingPredecode checks the scoping

@@ -112,12 +112,6 @@ type Config struct {
 	// loop is untouched and no event is ever constructed. Tracing never
 	// changes simulated counters; it only attributes them.
 	Hook trace.Hook
-
-	// HookFactory builds a fresh hook per machine; used instead of Hook
-	// when one Config fans out to many machines (the engine pool), so
-	// each machine owns an unshared hook and no cross-machine locking
-	// is needed. Ignored when Hook is set.
-	HookFactory func() trace.Hook
 }
 
 func boolDefault(p *bool, d bool) bool {
@@ -379,11 +373,7 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 	m.codeTop = uint32(len(im.Code))
 	m.shadowWrite(0, im.Code)
 	m.growPredecode(m.codeTop)
-	if h := cfg.Hook; h != nil {
-		m.hook = h
-	} else if cfg.HookFactory != nil {
-		m.hook = cfg.HookFactory()
-	}
+	m.hook = cfg.Hook
 	if m.hook != nil {
 		// Hand address-to-predicate resolution to hooks that want it,
 		// then route the memory system's callbacks into the stream.

@@ -61,9 +61,6 @@ func (m *Machine) installTraceHooks() {
 	m.cmmu.OnTrap, m.cmmu.OnPageFault = onTrap, onPage
 }
 
-// Hook returns the machine's trace hook (nil when tracing is off).
-func (m *Machine) Hook() trace.Hook { return m.hook }
-
 // stepsTraced is steps() with event emission: per-instruction KInstr
 // events carrying the instruction's exact cycle delta (fetch + execute
 // + data traffic, with any garbage-collection cost subtracted out —

@@ -42,7 +42,7 @@ type Config struct {
 	// Programs maps a program name to its Prolog source text.
 	Programs map[string]string
 	// PoolOptions configure the machine pool (engine.WithPoolSize,
-	// engine.WithProfiling, ...). The pool size caps the machines per
+	// engine.WithConfig). The pool size caps the machines per
 	// program: tenantless and tenant requests of a program share them.
 	PoolOptions []engine.PoolOption
 	// DefaultBudget is the per-slice step budget when a request
@@ -557,9 +557,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.totMu.Lock()
 	tot := s.totals
 	s.totMu.Unlock()
-	if agg := s.pool.Profile(); agg != nil {
-		tot.ProfiledPredCnt = len(agg.Rows())
-	}
 	names := make([]string, 0, len(s.progs))
 	for name := range s.progs {
 		names = append(names, name)

@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -288,5 +290,67 @@ func TestOversizedBodyRejected(t *testing.T) {
 	rep, code := postRaw(t, c.Base(), "/v1/query", wire.QueryRequest{Goal: "member(X, [a])."})
 	if code != http.StatusOK || rep.Status != wire.StatusYes || rep.Bindings["X"] != "a" {
 		t.Fatalf("query after the rejections: http %d %+v", code, rep)
+	}
+}
+
+// TestStatsSchema pins the key paths of the /v1/stats reply, flattened
+// to dotted paths, so adding, renaming or dropping a field is a
+// visible change to this list. tenants is omitted while no tenant
+// database exists.
+func TestStatsSchema(t *testing.T) {
+	_, c := startServer(t, Config{})
+	if _, err := c.Query(context.Background(), wire.QueryRequest{Goal: "nrev([1,2,3], R)."}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(c.Base() + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		obj, ok := v.(map[string]any)
+		if !ok {
+			got = append(got, path)
+			return
+		}
+		for k, sub := range obj {
+			if path != "" {
+				k = path + "." + k
+			}
+			walk(k, sub)
+		}
+	}
+	walk("", body)
+	slices.Sort(got)
+	want := []string{
+		"draining",
+		"pool.built",
+		"pool.idle",
+		"pool.images",
+		"pool.in_use",
+		"pool.size",
+		"programs",
+		"sessions.active",
+		"sessions.created",
+		"sessions.drained",
+		"sessions.evicted",
+		"sessions.parked",
+		"totals.cycles",
+		"totals.errors",
+		"totals.failures",
+		"totals.gc_collections",
+		"totals.gc_cycles",
+		"totals.inferences",
+		"totals.queries",
+		"totals.solutions",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("/v1/stats keys:\n got %q\nwant %q", got, want)
 	}
 }

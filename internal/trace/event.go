@@ -129,8 +129,8 @@ type Event struct {
 }
 
 // Hook consumes the event stream. Implementations are bound to one
-// machine and need not be safe for concurrent use; the engine pool
-// gives every machine its own hook (Config.HookFactory).
+// machine and need not be safe for concurrent use, so give every
+// machine its own hook.
 type Hook interface {
 	Emit(Event)
 }

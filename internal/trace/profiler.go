@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Special bucket names used when cycles cannot be attributed to a
@@ -31,7 +30,7 @@ const (
 // feeds a pprof-style folded-stack map for flamegraphs.
 //
 // A Profiler is bound to one machine and is not safe for concurrent
-// use; aggregate across machines with Agg.
+// use.
 type Profiler struct {
 	preds *PredTable
 
@@ -289,19 +288,15 @@ func (p *Profiler) FoldedMap() map[string]uint64 { return p.folded }
 // WriteFolded writes the folded stacks in the collapsed format
 // flamegraph tools consume: "root;...;leaf <cycles>", sorted by key.
 func (p *Profiler) WriteFolded(w io.Writer) error {
-	return writeFolded(w, p.folded)
-}
-
-func writeFolded(w io.Writer, folded map[string]uint64) error {
-	keys := make([]string, 0, len(folded))
-	for k := range folded {
+	keys := make([]string, 0, len(p.folded))
+	for k := range p.folded {
 		if k != "" {
 			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s %d\n", k, folded[k]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", k, p.folded[k]); err != nil {
 			return err
 		}
 	}
@@ -340,67 +335,4 @@ func RenderProfile(w io.Writer, rows []Row, total uint64) {
 		fmt.Fprintf(w, "  %12d %5.1f%%  %s\n",
 			r.Cum, 100*float64(r.Cum)/float64(total), r.Name)
 	}
-}
-
-// Agg aggregates profiles from many machines (the engine pool). Safe
-// for concurrent use.
-type Agg struct {
-	mu     sync.Mutex
-	rows   map[string]*Row
-	folded map[string]uint64
-	total  uint64
-}
-
-// NewAgg creates an empty aggregate.
-func NewAgg() *Agg {
-	return &Agg{rows: make(map[string]*Row), folded: make(map[string]uint64)}
-}
-
-// Add merges one machine's profile into the aggregate.
-func (a *Agg) Add(p *Profiler) {
-	rows := p.Rows()
-	folded := p.folded
-	total := p.Total()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, r := range rows {
-		ar := a.rows[r.Name]
-		if ar == nil {
-			ar = &Row{Name: r.Name}
-			a.rows[r.Name] = ar
-		}
-		ar.Self += r.Self
-		ar.Cum += r.Cum
-		ar.Calls += r.Calls
-	}
-	for k, c := range folded {
-		a.folded[k] += c
-	}
-	a.total += total
-}
-
-// Total returns all cycles merged so far.
-func (a *Agg) Total() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
-}
-
-// Rows returns the merged rows, unsorted.
-func (a *Agg) Rows() []Row {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rows := make([]Row, 0, len(a.rows))
-	for _, r := range a.rows {
-		rows = append(rows, *r)
-	}
-	return rows
-}
-
-// WriteFolded writes the merged folded stacks (see
-// Profiler.WriteFolded).
-func (a *Agg) WriteFolded(w io.Writer) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return writeFolded(w, a.folded)
 }

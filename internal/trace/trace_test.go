@@ -238,29 +238,23 @@ func TestProfilerResetOnKReset(t *testing.T) {
 	}
 }
 
-func TestAggMerges(t *testing.T) {
-	mk := func(cycles uint64) *Profiler {
-		p := NewProfiler()
-		p.BindPreds(tbl())
-		feed(p, Event{Kind: KInstr, P: 10, Cycles: cycles})
-		return p
-	}
-	a := NewAgg()
-	a.Add(mk(5))
-	a.Add(mk(7))
-	if a.Total() != 12 {
-		t.Fatalf("Agg total = %d, want 12", a.Total())
-	}
-	rows := a.Rows()
-	if len(rows) != 1 || rows[0].Name != "nrev/2" || rows[0].Self != 12 {
-		t.Fatalf("Agg rows = %+v", rows)
-	}
+func TestProfilerWriteFolded(t *testing.T) {
+	p := NewProfiler()
+	p.BindPreds(tbl())
+	feed(p,
+		Event{Kind: KBoot, P: 200, Cycles: 4},
+		Event{Kind: KInstr, P: 200, Cycles: 2},
+		Event{Kind: KCall, P: 10, Addr: 10},
+		Event{Kind: KInstr, P: 10, Cycles: 5},
+		Event{Kind: KInstr, P: 10, Cycles: 7},
+	)
 	var sb strings.Builder
-	if err := a.WriteFolded(&sb); err != nil {
+	if err := p.WriteFolded(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if got := sb.String(); got != "nrev/2 12\n" {
-		t.Fatalf("folded = %q", got)
+	// Root-first stacks sorted by key; the boot bucket is left out.
+	if got, want := sb.String(), "main/0 2\nmain/0;nrev/2 12\n"; got != want {
+		t.Fatalf("folded = %q, want %q", got, want)
 	}
 }
 

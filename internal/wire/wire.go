@@ -194,15 +194,14 @@ type SessionStats struct {
 
 // Totals aggregates the simulated work the daemon has served.
 type Totals struct {
-	Queries         uint64 `json:"queries"`
-	Solutions       uint64 `json:"solutions"`
-	Failures        uint64 `json:"failures"` // goals that exhausted with no solution
-	Errors          uint64 `json:"errors"`   // compile or machine faults
-	Cycles          uint64 `json:"cycles"`
-	Inferences      uint64 `json:"inferences"`
-	GCCollections   uint64 `json:"gc_collections"`
-	GCCycles        uint64 `json:"gc_cycles"`
-	ProfiledPredCnt int    `json:"profiled_predicates,omitempty"`
+	Queries       uint64 `json:"queries"`
+	Solutions     uint64 `json:"solutions"`
+	Failures      uint64 `json:"failures"` // goals that exhausted with no solution
+	Errors        uint64 `json:"errors"`   // compile or machine faults
+	Cycles        uint64 `json:"cycles"`
+	Inferences    uint64 `json:"inferences"`
+	GCCollections uint64 `json:"gc_collections"`
+	GCCycles      uint64 `json:"gc_cycles"`
 }
 
 // StatsReply is the /v1/stats body.

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 verification gate. Everything here must pass before a change
 # lands: formatting, vet, build, the full test suite under the race
-# detector, the static bytecode verifier over every example program
-# and the whole benchmark suite, and a run of every example.
+# detector, the nested kcmdbench module's vet and tests, the static
+# bytecode verifier over every example program and the whole benchmark
+# suite, and a run of every example.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,7 +24,10 @@ go build ./...
 echo '== go test -race'
 go test -race ./...
 
-echo '== engine pool race tests (plain, traced/profiled, tenant churn across tail compactions)'
+echo '== kcmdbench (a nested module the root ./... skips: it must build, vet and pass its tests against this tree)'
+(cd kcmdbench && go vet . && go test -count=1 .)
+
+echo '== engine pool race tests (plain, traced sessions beside pooled queries, tenant churn across tail compactions)'
 go test -race -run 'TestPoolRace|TestPoolTraceRace|TestTenantCompactionRace' ./internal/engine/
 
 echo '== stream writer and stream race tests (enumerator and writer goroutines share the line channel and the cancel func)'
@@ -43,8 +47,8 @@ go test -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDi
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
 go test -count=1 -run '^$' -fuzz 'FuzzRestoreBlob' -fuzztime 5s ./internal/machine/
 
-echo '== cycle-count pin (kcmbench counters and every other machine.Result counter must not drift)'
-go test -run 'TestCyclePin|TestCounterPin' ./internal/bench/
+echo '== cycle-count pin (kcmbench counters, every other machine.Result counter and every paper table must not drift)'
+go test -run 'TestCyclePin|TestCounterPin|TestTablesGolden' ./internal/bench/
 
 echo '== probe inlining (rd and wr must inline to one call of the data-access probe)'
 inl=$(go build -gcflags=-m ./internal/machine 2>&1)
