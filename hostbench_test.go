@@ -17,9 +17,11 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/client"
@@ -53,6 +55,16 @@ func hostRun(b *testing.B, p bench.Program) {
 	if _, err := m.Run(entry); err != nil {
 		b.Fatal(err)
 	}
+	// Settle the runtime before the timer. ResetTimer stops the world,
+	// and restarting it wakes an idle OS thread for the idle P, or
+	// starts a new one (runtime.allocm) inside the timed window when
+	// none is parked. At -benchtime 1x those few objects alone break
+	// the 0 allocs/op gate although the simulator allocates nothing.
+	// Collecting the setup's garbage now, then pausing while the
+	// threads that ran the collector and its background sweeper and
+	// scavenger park, leaves one idle.
+	runtime.GC()
+	time.Sleep(5 * time.Millisecond)
 	var stats machine.Stats
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -103,12 +115,14 @@ func BenchmarkHostNrev300(b *testing.B) {
 }
 
 // BenchmarkHostPoolNrev times warm nrev throughput through an
-// engine.Pool under concurrent load: RunParallel issues queries from
-// GOMAXPROCS goroutines against one pool of warm machines sharing the
-// compiled image. Run with -cpu 1,4,8 to measure scaling; each
-// simulated machine is independent, so throughput should track
-// available cores (scripts/hostbench.sh records this in
-// BENCH_<n>.json together with the host's CPU count).
+// engine.Pool under concurrent load: RunParallel runs Begin, Next and
+// Close from GOMAXPROCS goroutines against one pool of machines
+// sharing the compiled image. Before the timer, Size() sessions are
+// held at once and each runs the query, so every machine is built and
+// warm. Run with -cpu 1,4,8 to measure scaling; each simulated machine
+// is independent, so throughput should track available cores
+// (scripts/hostbench.sh records this in BENCH_<n>.json together with
+// the host's CPU count).
 func BenchmarkHostPoolNrev(b *testing.B) {
 	p, _ := bench.ByName("nrev1")
 	im, err := bench.Compile(p, true)
@@ -116,29 +130,47 @@ func BenchmarkHostPoolNrev(b *testing.B) {
 		b.Fatal(err)
 	}
 	pool := engine.New() // GOMAXPROCS machines
-	if err := pool.Warm(context.Background(), im); err != nil {
-		b.Fatal(err)
-	}
 	ctx := context.Background()
+	// begin leases a machine and runs nrev to its solution.
+	begin := func() (*engine.Session, error) {
+		s, err := pool.Begin(ctx, im)
+		if err != nil {
+			return nil, err
+		}
+		if !s.Next(ctx) {
+			err := fmt.Errorf("nrev failed: %v", s.Err())
+			s.Close()
+			return nil, err
+		}
+		return s, nil
+	}
+	warm := make([]*engine.Session, pool.Size())
+	for i := range warm {
+		if warm[i], err = begin(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, s := range warm {
+		s.Close()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			sol, err := pool.Query(ctx, im)
+			s, err := begin()
 			if err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
-			if !sol.Success {
-				b.Fatal("nrev failed")
-			}
+			s.Close()
 		}
 	})
 }
 
-// BenchmarkHostWarmBoot times the pool's per-machine warm protocol as
-// it ran before snapshot stamping: a full reset plus one complete
-// warm run on an already-constructed machine. This is the per-sibling
-// cost that Warm used to pay pool-wide.
+// BenchmarkHostWarmBoot times a warm re-run: a full reset plus one
+// complete run on an already-constructed, already-warm machine. It is
+// the baseline for BenchmarkHostWarmRestore, which reaches the same
+// warm state by restoring a snapshot instead of running the query.
 func BenchmarkHostWarmBoot(b *testing.B) {
 	p, _ := bench.ByName("nrev1")
 	im, err := bench.Compile(p, true)
@@ -163,12 +195,12 @@ func BenchmarkHostWarmBoot(b *testing.B) {
 	}
 }
 
-// BenchmarkHostWarmRestore times the same warm state arriving by
-// snapshot stamp instead: one machine runs the warm protocol once and
-// is captured; every iteration restores that snapshot onto a sibling
-// — the engine.Pool Warm path for every machine after the first. The
-// ratio to BenchmarkHostWarmBoot is the warm-boot speedup recorded in
-// BENCH_10.json.
+// BenchmarkHostWarmRestore times a snapshot restore: one machine runs
+// the query once and is captured, and every iteration restores that
+// snapshot onto a sibling machine. This is the cost a session pays to
+// come back from a snapshot blob (engine.Pool.Resume), and what a
+// parked session spilled to a blob would pay to resume. The ratio to
+// BenchmarkHostWarmBoot is the speedup recorded in BENCH_10.json.
 func BenchmarkHostWarmRestore(b *testing.B) {
 	p, _ := bench.ByName("nrev1")
 	im, err := bench.Compile(p, true)

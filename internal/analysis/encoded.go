@@ -58,8 +58,8 @@ func decodeAll(code []word.Word, base uint32) ([]encInstr, []Diag) {
 // block about to be placed at base: every instruction decodes, no
 // multi-word instruction is truncated, and every branch or call
 // target lands either in already loaded code (below codeTop) or on an
-// instruction boundary of the new block. The gap [codeTop, base) of a
-// page-rounded batch load is unmapped and therefore invalid.
+// instruction boundary of the new block. A gap [codeTop, base) between
+// the loaded code and the block is unmapped and therefore invalid.
 func CheckEncoded(code []word.Word, base, codeTop uint32) []Diag {
 	end := base + uint32(len(code))
 	return checkBlock(code, base, func(t int, start []bool) string {

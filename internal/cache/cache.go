@@ -217,28 +217,6 @@ func (c *Data) evict(ln *line) (int, error) {
 	return 0, nil
 }
 
-// Flush writes every dirty line back to memory (used when handing
-// pages to the code space and at end of run for verification).
-func (c *Data) Flush() (int, error) {
-	total := 0
-	for i := range c.lines {
-		cost, err := c.evict(&c.lines[i])
-		total += cost
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// Invalidate drops every line (context switches would need this; the
-// single-task design never does, but the memory-management tests do).
-func (c *Data) Invalidate() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
-
 // Stats returns a copy of the counters.
 func (c *Data) Stats() Stats { return c.stats }
 
@@ -345,18 +323,6 @@ func (c *Code) Touch(va uint32, n int) (cost int, allHit bool, err error) {
 // tag checks.
 func (c *Code) NoteReads(n int) { c.stats.Reads += uint64(n) }
 
-// Write stores through to memory and updates the cache (incremental
-// compilation writes directly into code space).
-func (c *Code) Write(va uint32, w word.Word) (int, error) {
-	c.stats.Writes++
-	cost, err := c.back.Write(va, w)
-	if err != nil {
-		return cost, err
-	}
-	c.lines[va%CodeWords] = line{key: tag(word.ZNone, va), data: w}
-	return cost, nil
-}
-
 // Stats returns a copy of the counters.
 func (c *Code) Stats() Stats { return c.stats }
 
@@ -387,19 +353,6 @@ func (c *Code) InvalidateRange(start, end uint32) {
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.key != 0 && ln.va() >= start && ln.va() < end {
-			*ln = line{}
-		}
-	}
-}
-
-// InvalidateRange drops every data-cache line whose address falls in
-// [start, end) of the given zone, discarding dirty contents: used when
-// a data page is handed over to the code space (the staged copy has
-// already been flushed).
-func (c *Data) InvalidateRange(z word.Zone, start, end uint32) {
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.key != 0 && ln.zone() == z && ln.va() >= start && ln.va() < end {
 			*ln = line{}
 		}
 	}

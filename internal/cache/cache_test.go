@@ -83,28 +83,6 @@ func TestDataCopyBack(t *testing.T) {
 	}
 }
 
-func TestDataFlush(t *testing.T) {
-	b := newBack()
-	c := newData(b, true)
-	for i := uint32(0); i < 10; i++ {
-		c.Write(i, word.ZGlobal, word.FromInt(int32(i)))
-	}
-	if _, err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 10; i++ {
-		if b.data[i].Int() != int32(i) {
-			t.Fatalf("flush lost word %d", i)
-		}
-	}
-	// Flushing twice writes nothing new.
-	w := b.writes
-	c.Flush()
-	if b.writes != w {
-		t.Fatal("second flush wrote")
-	}
-}
-
 func TestSplitPreventsZoneCollisions(t *testing.T) {
 	b := newBack()
 	split := newData(b, true)
@@ -142,16 +120,6 @@ func TestDataPeek(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	b := newBack()
-	c := newData(b, true)
-	c.Write(1, word.ZGlobal, word.FromInt(1))
-	c.Invalidate()
-	if _, ok := c.Peek(1, word.ZGlobal); ok {
-		t.Fatal("line survived invalidate")
-	}
-}
-
 func TestCodePrefetch(t *testing.T) {
 	b := newBack()
 	for i := uint32(0); i < 64; i++ {
@@ -180,18 +148,6 @@ func newBackFrom(data map[uint32]word.Word) *fakeBack {
 		b.data[k] = v
 	}
 	return b
-}
-
-func TestCodeWriteThrough(t *testing.T) {
-	b := newBack()
-	c := newCode(b, 0)
-	c.Write(10, word.FromInt(5))
-	if b.data[10].Int() != 5 {
-		t.Fatal("write did not reach memory (write-through!)")
-	}
-	if w, cost, _ := c.Read(10); w.Int() != 5 || cost != 0 {
-		t.Fatal("written word not cached")
-	}
 }
 
 func TestHitRatio(t *testing.T) {

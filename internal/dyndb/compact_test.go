@@ -58,16 +58,20 @@ func TestCompactionBoundsTail(t *testing.T) {
 	}
 
 	_, bound := db.TailBound()
-	st, err := dyndb.NewStore(db, machine.Config{})
+	m, err := machine.New(db.Image(), machine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := db.Materialize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseTop := len(db.Image().Code)
-	if top := int(st.Machine().CodeTop()); top > baseTop+bound {
+	if top := int(view.Top); top > baseTop+bound {
 		t.Fatalf("materialised frontier %d, want <= %d (base %d + bound %d)",
 			top, baseTop+bound, baseTop, bound)
 	}
-	wantSols(t, solve(t, st, "likes(X)", 0), "X=red", "X=green", "X=blue")
+	wantSols(t, solve(t, newPool(), db, "likes(X)", 0), "X=red", "X=green", "X=blue")
 }
 
 // TestCompactionKeepsCallSites churns one predicate across many
@@ -78,45 +82,45 @@ func TestCompactionBoundsTail(t *testing.T) {
 // rule is rebuilt now and then, so compaction moves its auxiliary
 // entries too.
 func TestCompactionKeepsCallSites(t *testing.T) {
-	st := mustStore(t, `
+	db, p := mustDB(t, `
 :- dynamic(s/1).
 :- dynamic(r/1).
 :- dynamic(d/1).
 base(X) :- s(X).
-`)
+`), newPool()
 	dRule := pt(t, "d(X) :- ( s(X) ; X = none )")
 	for _, c := range []term.Term{pt(t, "s(a0)"), pt(t, "r(X) :- s(X)"), dRule} {
-		if err := st.Assertz(c); err != nil {
+		if _, err := db.Assertz(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	model := []string{"X=a0"}
-	compactions, prev := 0, checkTailBound(t, st.DB())
+	compactions, prev := 0, checkTailBound(t, db)
 	for i := 1; i <= 60; i++ {
-		if err := st.Assertz(pt(t, fmt.Sprintf("s(a%d)", i))); err != nil {
+		if _, err := db.Assertz(pt(t, fmt.Sprintf("s(a%d)", i))); err != nil {
 			t.Fatal(err)
 		}
 		model = append(model, fmt.Sprintf("X=a%d", i))
 		if i%3 == 0 {
-			if ok, err := st.Retract(pt(t, "s("+model[0][2:]+")")); err != nil || !ok {
+			if ok, _, err := db.Retract(pt(t, "s("+model[0][2:]+")")); err != nil || !ok {
 				t.Fatalf("retract %s: ok=%v err=%v", model[0], ok, err)
 			}
 			model = model[1:]
 		}
 		if i%5 == 0 {
-			if err := st.Reload(term.Ind("d", 1), []term.Term{dRule}); err != nil {
+			if _, err := db.Reload(term.Ind("d", 1), []term.Term{dRule}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		tail := checkTailBound(t, st.DB())
+		tail := checkTailBound(t, db)
 		if tail < prev {
 			compactions++
 		}
 		prev = tail
 		for _, g := range []string{"base(X)", "r(X)", "call(s(X))"} {
-			wantSols(t, solve(t, st, g, 0), model...)
+			wantSols(t, solve(t, p, db, g, 0), model...)
 		}
-		wantSols(t, solve(t, st, "d(X)", 0), append(slices.Clone(model), "X=none")...)
+		wantSols(t, solve(t, p, db, "d(X)", 0), append(slices.Clone(model), "X=none")...)
 	}
 	if compactions < 5 {
 		t.Fatalf("%d compactions over the churn, want several", compactions)

@@ -21,19 +21,19 @@ import (
 // dropped from the entry table and the new ones used, or the linker
 // would resolve stale names.
 func TestAuxPredicatesReplacedAcrossRebuilds(t *testing.T) {
-	st := mustStore(t, ":- dynamic(d/1).\n")
-	if err := st.Assertz(pt(t, "d(X) :- ( X = a ; X = b )")); err != nil {
+	db, p := mustDB(t, ":- dynamic(d/1).\n"), newPool()
+	if _, err := db.Assertz(pt(t, "d(X) :- ( X = a ; X = b )")); err != nil {
 		t.Fatalf("assert with disjunction: %v", err)
 	}
-	wantSols(t, solve(t, st, "d(X)", 0), "X=a", "X=b")
-	if err := st.Assertz(pt(t, "d(c)")); err != nil {
+	wantSols(t, solve(t, p, db, "d(X)", 0), "X=a", "X=b")
+	if _, err := db.Assertz(pt(t, "d(c)")); err != nil {
 		t.Fatalf("second assert: %v", err)
 	}
-	wantSols(t, solve(t, st, "d(X)", 0), "X=a", "X=b", "X=c")
-	if err := st.Assertz(pt(t, "d(Y) :- ( Y = e ; Y = f )")); err != nil {
+	wantSols(t, solve(t, p, db, "d(X)", 0), "X=a", "X=b", "X=c")
+	if _, err := db.Assertz(pt(t, "d(Y) :- ( Y = e ; Y = f )")); err != nil {
 		t.Fatalf("third assert: %v", err)
 	}
-	wantSols(t, solve(t, st, "d(X)", 0), "X=a", "X=b", "X=c", "X=e", "X=f")
+	wantSols(t, solve(t, p, db, "d(X)", 0), "X=a", "X=b", "X=c", "X=e", "X=f")
 }
 
 // TestTailCallSiteRetargeted exercises the in-place patch branch of
@@ -41,22 +41,22 @@ func TestAuxPredicatesReplacedAcrossRebuilds(t *testing.T) {
 // asserted), so when s moves the call site is rewritten directly
 // rather than through the base-overlay patch map.
 func TestTailCallSiteRetargeted(t *testing.T) {
-	st := mustStore(t, ":- dynamic(r/1).\n:- dynamic(s/1).\n")
-	if err := st.Assertz(pt(t, "s(one)")); err != nil {
+	db, p := mustDB(t, ":- dynamic(r/1).\n:- dynamic(s/1).\n"), newPool()
+	if _, err := db.Assertz(pt(t, "s(one)")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Assertz(pt(t, "r(X) :- s(X)")); err != nil {
+	if _, err := db.Assertz(pt(t, "r(X) :- s(X)")); err != nil {
 		t.Fatal(err)
 	}
-	wantSols(t, solve(t, st, "r(X)", 0), "X=one")
+	wantSols(t, solve(t, p, db, "r(X)", 0), "X=one")
 	// Each assert moves s/1 to a fresh block; r's tail-resident call
 	// site must follow every time.
 	for _, atom := range []string{"two", "three", "four"} {
-		if err := st.Assertz(pt(t, "s("+atom+")")); err != nil {
+		if _, err := db.Assertz(pt(t, "s("+atom+")")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantSols(t, solve(t, st, "r(X)", 0), "X=one", "X=two", "X=three", "X=four")
+	wantSols(t, solve(t, p, db, "r(X)", 0), "X=one", "X=two", "X=three", "X=four")
 }
 
 // TestRetractUnknownPredicate: retracting from a predicate the
@@ -113,21 +113,21 @@ func TestAccessorEdges(t *testing.T) {
 	}
 }
 
-// TestStoreReloadAndBoundedSolve covers the Store's Reload front and
-// Solve's max-solutions cut.
+// TestStoreReloadAndBoundedSolve covers the clause store's Reload
+// front and a solve cut off after max solutions.
 func TestStoreReloadAndBoundedSolve(t *testing.T) {
-	st := mustStore(t, colorSrc)
+	db, p := mustDB(t, colorSrc), newPool()
 	pi := term.Ind("color", 1)
-	if err := st.Reload(pi, []term.Term{pt(t, "color(cyan)"), pt(t, "color(teal)")}); err != nil {
-		t.Fatalf("store reload: %v", err)
+	if _, err := db.Reload(pi, []term.Term{pt(t, "color(cyan)"), pt(t, "color(teal)")}); err != nil {
+		t.Fatalf("reload: %v", err)
 	}
-	wantSols(t, solve(t, st, "color(X)", 0), "X=cyan", "X=teal")
-	wantSols(t, solve(t, st, "color(X)", 1), "X=cyan")
-	if err := st.Reload(pi, []term.Term{pt(t, ":- broken")}); !errors.Is(err, dyndb.ErrBadClause) {
-		t.Fatalf("bad store reload: %v", err)
+	wantSols(t, solve(t, p, db, "color(X)", 0), "X=cyan", "X=teal")
+	wantSols(t, solve(t, p, db, "color(X)", 1), "X=cyan")
+	if _, err := db.Reload(pi, []term.Term{pt(t, ":- broken")}); !errors.Is(err, dyndb.ErrBadClause) {
+		t.Fatalf("bad reload: %v", err)
 	}
 	// The failed reload changed nothing.
-	wantSols(t, solve(t, st, "color(X)", 0), "X=cyan", "X=teal")
+	wantSols(t, solve(t, p, db, "color(X)", 0), "X=cyan", "X=teal")
 }
 
 // TestMaterializeRejectsForeignFrontier: a machine whose code frontier

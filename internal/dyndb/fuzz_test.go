@@ -19,7 +19,7 @@ import (
 // the model's clauses in the model's order. FuzzMalformedClause feeds
 // arbitrary terms through assert and pins the rejection contract:
 // failures are typed (ErrStaticPred, ErrBadClause or a *CodeError),
-// never a panic, and the machine still answers a control query after
+// never a panic, and a lease still answers a control query after
 // every rejection.
 
 const fuzzSrc = `
@@ -62,12 +62,13 @@ func compactionSeed() []byte {
 	return ops
 }
 
-// checkAssertRetract replays one op string against a fresh store and
-// the model, and returns how many compactions the walk crossed.
+// checkAssertRetract replays one op string against a fresh database
+// and the model, solving on one pool, and returns how many compactions
+// the walk crossed.
 func checkAssertRetract(t *testing.T, ops []byte) int {
-	st := mustStore(t, fuzzSrc)
+	db, pool := mustDB(t, fuzzSrc), newPool()
 	model := map[string][]string{"p": nil, "q": nil}
-	compactions, prev := 0, checkTailBound(t, st.DB())
+	compactions, prev := 0, checkTailBound(t, db)
 	for i, op := range ops {
 		pred := "p"
 		if op&1 != 0 {
@@ -77,17 +78,17 @@ func checkAssertRetract(t *testing.T, ops []byte) int {
 		clause := fmt.Sprintf("%s(%s)", pred, atom)
 		switch (op >> 1) & 3 {
 		case 0, 3: // assertz (3 keeps the op space dense)
-			if err := st.Assertz(pt(t, clause)); err != nil {
+			if _, err := db.Assertz(pt(t, clause)); err != nil {
 				t.Fatalf("op %d: assertz %s: %v", i, clause, err)
 			}
 			model[pred] = append(model[pred], atom)
 		case 1: // asserta
-			if err := st.Asserta(pt(t, clause)); err != nil {
+			if _, err := db.Asserta(pt(t, clause)); err != nil {
 				t.Fatalf("op %d: asserta %s: %v", i, clause, err)
 			}
 			model[pred] = append([]string{atom}, model[pred]...)
 		case 2: // retract first occurrence
-			got, err := st.Retract(pt(t, clause))
+			got, _, err := db.Retract(pt(t, clause))
 			if err != nil {
 				t.Fatalf("op %d: retract %s: %v", i, clause, err)
 			}
@@ -104,7 +105,7 @@ func checkAssertRetract(t *testing.T, ops []byte) int {
 			}
 		}
 		// A mutation appends a block; only a compaction shrinks the tail.
-		tail := checkTailBound(t, st.DB())
+		tail := checkTailBound(t, db)
 		if tail < prev {
 			compactions++
 		}
@@ -114,7 +115,7 @@ func checkAssertRetract(t *testing.T, ops []byte) int {
 			for j, a := range model[p] {
 				want[j] = "X=" + a
 			}
-			wantSols(t, solve(t, st, p+"(X)", 0), want...)
+			wantSols(t, solve(t, pool, db, p+"(X)", 0), want...)
 		}
 	}
 	// The rule over p/1 tracks too (indexing through a caller).
@@ -122,7 +123,7 @@ func checkAssertRetract(t *testing.T, ops []byte) int {
 	for j, a := range model["p"] {
 		want[j] = "X=" + a
 	}
-	wantSols(t, solve(t, st, "peek(X)", 0), want...)
+	wantSols(t, solve(t, pool, db, "peek(X)", 0), want...)
 	return compactions
 }
 
@@ -130,7 +131,7 @@ func checkAssertRetract(t *testing.T, ops []byte) int {
 // database whose named predicates are all static, so every known-head
 // clause is rejected and unknown heads exercise on-the-fly
 // declaration. The invariants: no panic, every rejection is typed,
-// and the store still answers a static control query afterwards.
+// and a lease still answers a static control query afterwards.
 func FuzzMalformedClause(f *testing.F) {
 	f.Add("color(red)")
 	f.Add(":- dynamic(z/1)")
@@ -147,16 +148,12 @@ app([], L, L).
 app([H|T], L, [H|R]) :- app(T, L, R).
 `
 		db := mustDB(t, src)
-		st, err := dyndb.NewStore(db, machine.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !strings.HasSuffix(strings.TrimSpace(text), ".") {
 			text += " ."
 		}
 		cl, err := reader.ParseTerm(text)
 		if err == nil {
-			if err := st.Assertz(cl); err != nil {
+			if _, err := db.Assertz(cl); err != nil {
 				var ce *machine.CodeError
 				if !errors.Is(err, dyndb.ErrStaticPred) &&
 					!errors.Is(err, dyndb.ErrBadClause) &&
@@ -165,8 +162,8 @@ app([H|T], L, [H|R]) :- app(T, L, R).
 				}
 			}
 		}
-		// Whatever happened, the machine still answers.
-		wantSols(t, solve(t, st, "app([a], [b], R)", 0), "R=[a,b]")
+		// Whatever happened, a lease still answers.
+		wantSols(t, solve(t, newPool(), db, "app([a], [b], R)", 0), "R=[a,b]")
 	})
 }
 
@@ -174,18 +171,18 @@ app([H|T], L, [H|R]) :- app(T, L, R).
 // so the property layer runs on every plain `go test`, not only under
 // -fuzz.
 func TestFuzzSeedsAsUnitTests(t *testing.T) {
-	st := mustStore(t, fuzzSrc)
+	db, p := mustDB(t, fuzzSrc), newPool()
 	for _, op := range []string{"p(a)", "p(b)", "q(c)"} {
-		if err := st.Assertz(pt(t, op)); err != nil {
+		if _, err := db.Assertz(pt(t, op)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ok, err := st.Retract(pt(t, "p(a)")); err != nil || !ok {
+	if ok, _, err := db.Retract(pt(t, "p(a)")); err != nil || !ok {
 		t.Fatalf("retract: %v %v", ok, err)
 	}
-	wantSols(t, solve(t, st, "p(X)", 0), "X=b")
-	wantSols(t, solve(t, st, "q(X)", 0), "X=c")
-	wantSols(t, solve(t, st, "peek(X)", 0), "X=b")
+	wantSols(t, solve(t, p, db, "p(X)", 0), "X=b")
+	wantSols(t, solve(t, p, db, "q(X)", 0), "X=c")
+	wantSols(t, solve(t, p, db, "peek(X)", 0), "X=b")
 
 	if n := checkAssertRetract(t, compactionSeed()); n < 3 {
 		t.Fatalf("compaction seed crossed %d compactions, want several", n)

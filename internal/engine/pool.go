@@ -22,11 +22,8 @@ import (
 	"sync"
 
 	"repro/internal/asm"
-	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/dyndb"
 	"repro/internal/machine"
-	"repro/internal/snapshot"
 )
 
 // Pool is a fixed-size pool of machines per compiled image. The zero
@@ -125,8 +122,9 @@ func WithWriter(w io.Writer) Option {
 	return func(o *opts) { o.out = w }
 }
 
-// WithBudget bounds the query to n simulated instructions; exceeding
-// it fails the query with machine.ErrStepBudget. The default is the
+// WithBudget bounds each Next slice of the session to n simulated
+// instructions; a slice that exhausts it suspends the session
+// (Session.Suspended) and the next Next resumes. The default is the
 // pool configuration's MaxSteps (or the machine default when unset).
 func WithBudget(n uint64) Option {
 	return func(o *opts) { o.budget = n }
@@ -142,89 +140,6 @@ func (p *Pool) budget(n uint64) uint64 {
 		n = 1_000_000_000
 	}
 	return n
-}
-
-// Query runs a compiled query image to its first solution on a pooled
-// machine: acquire (or build) a warm machine, reset its counters,
-// re-boot it at the image's query entry, run under ctx, read the
-// bindings back, release the machine. The returned Solution carries
-// the same per-query counters a dedicated machine.Run would have
-// produced — pooling changes who runs the query, not what it costs.
-func (p *Pool) Query(ctx context.Context, im *asm.Image, options ...Option) (*core.Solution, error) {
-	s, err := p.Begin(ctx, im, options...)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	if s.Next(ctx) {
-		return s.Solution(), nil
-	}
-	if s.Err() != nil {
-		return nil, s.Err()
-	}
-	if s.Suspended() {
-		// One-shot semantics: exhausting the budget is a hard error,
-		// not a resumable suspension (hold a Session for that).
-		return nil, fmt.Errorf("engine: %w: query exceeded %d steps",
-			machine.ErrStepBudget, s.budget)
-	}
-	return s.Solution(), nil // the failed outcome, with its Result
-}
-
-// Warm builds the image's full complement of machines and brings each
-// to the post-warm-run state, so later queries start from warm
-// simulated caches (the paper's warm-run timing protocol). It is
-// optional: Query builds machines on demand.
-//
-// Only the first machine actually executes the warm query; the rest
-// are stamped from its snapshot (machine.Capture/Restore), which
-// skips the simulation entirely and leaves every pool member in the
-// byte-identical warm state a real run would have produced. Traced
-// pools keep the per-machine real runs: their hook observes every
-// machine's warm-run events, which a stamp would silently skip.
-func (p *Pool) Warm(ctx context.Context, im *asm.Image) error {
-	entry, ok := im.Entry(compiler.QueryPI)
-	if !ok {
-		return fmt.Errorf("engine: image has no query entry point")
-	}
-	stamp := p.cfg.Hook == nil
-	var proto *snapshot.State
-	// Hold all machines at once so every pool member gets one warm
-	// state, instead of re-warming the same machine repeatedly.
-	machines := make([]*machine.Machine, 0, p.size)
-	var ip *imagePool
-	defer func() {
-		for _, m := range machines {
-			p.release(ip, m)
-		}
-	}()
-	for i := 0; i < p.size; i++ {
-		m, mip, err := p.acquire(ctx, im, nil)
-		if err != nil {
-			return err
-		}
-		ip = mip
-		machines = append(machines, m)
-		m.Reset()
-		m.SetOut(nil)
-		if proto != nil {
-			if err := m.Restore(proto); err == nil {
-				continue
-			}
-			// A refused stamp (config drift, unexpected image state)
-			// falls back to a real warm run below.
-		}
-		m.Begin(entry)
-		if _, err := m.RunFor(ctx, 0); err != nil {
-			return err
-		}
-		if stamp && proto == nil {
-			if s, err := m.Capture(); err == nil {
-				proto = s
-			}
-		}
-	}
-	return nil
 }
 
 // release returns a machine to the image pool — unless the query left

@@ -39,11 +39,11 @@ func TestPoolDiscardsFaultedMachines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				_, err := p.Query(context.Background(), bad)
+				_, err := firstSolution(context.Background(), p, bad)
 				if !errors.Is(err, machine.ErrHeapOverflow) {
 					errs <- err
 				}
-				sol, err := p.Query(context.Background(), good)
+				sol, err := firstSolution(context.Background(), p, good)
 				if err != nil || !sol.Success {
 					errs <- err
 				}
@@ -68,7 +68,7 @@ func TestPoolRecoversHeapWithGC(t *testing.T) {
 		GlobalBase: 0x10000, GlobalSize: 0x800,
 	}), engine.WithPoolSize(2))
 	for i := 0; i < 4; i++ {
-		sol, err := p.Query(context.Background(), im)
+		sol, err := firstSolution(context.Background(), p, im)
 		if err != nil || !sol.Success {
 			t.Fatalf("round %d: %v success=%v", i, err, sol != nil && sol.Success)
 		}

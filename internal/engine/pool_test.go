@@ -65,6 +65,26 @@ func compileImage(t *testing.T, src, query string) *asm.Image {
 	return im
 }
 
+// firstSolution runs im to its first solution on one Begin session and
+// releases the machine: a one-shot pooled query. A session that stops
+// on its step budget is an error here; TestPoolBudget holds one.
+func firstSolution(ctx context.Context, p *engine.Pool, im *asm.Image, options ...engine.Option) (*core.Solution, error) {
+	s, err := p.Begin(ctx, im, options...)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	if !s.Next(ctx) {
+		if s.Err() != nil {
+			return nil, s.Err()
+		}
+		if s.Suspended() {
+			return nil, errors.New("query suspended on its step budget")
+		}
+	}
+	return s.Solution(), nil
+}
+
 // TestPoolParity is the tentpole's byte-identical guarantee at the
 // pool level: a single query served by a pooled machine reports
 // exactly the simulated cycle counts and cache statistics of a
@@ -93,7 +113,7 @@ func TestPoolParity(t *testing.T) {
 
 	pool := engine.New(engine.WithPoolSize(1)) // one machine: 2nd query reuses it
 	for i, want := range []machine.Result{cold, warm} {
-		sol, err := pool.Query(context.Background(), im)
+		sol, err := firstSolution(context.Background(), pool, im)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +175,7 @@ func TestPoolRace(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				j := jobs[(g+r)%len(jobs)]
-				sol, err := pool.Query(context.Background(), j.im)
+				sol, err := firstSolution(context.Background(), pool, j.im)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: %w", g, r, err)
 					return
@@ -186,7 +206,7 @@ func TestPoolWriterIsolation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var out strings.Builder
-			sol, err := pool.Query(context.Background(), im, engine.WithWriter(&out))
+			sol, err := firstSolution(context.Background(), pool, im, engine.WithWriter(&out))
 			if err != nil {
 				errs <- err
 				return
@@ -203,50 +223,22 @@ func TestPoolWriterIsolation(t *testing.T) {
 	}
 }
 
-// TestPoolWarm: Warm pre-builds the machines, and a warmed pool's
-// first query already reports warm-cache hit ratios.
-func TestPoolWarm(t *testing.T) {
-	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5,6,7,8,9,10], R).")
-	pool := engine.New(engine.WithPoolSize(1))
-	if err := pool.Warm(context.Background(), im); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := pool.Query(context.Background(), im)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference warm run on a dedicated machine.
-	entry, _ := im.Entry(compiler.QueryPI)
-	m, err := machine.New(im, machine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(entry); err != nil {
-		t.Fatal(err)
-	}
-	m.ResetStats()
-	warm, err := m.Run(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Result.DCache != warm.DCache || sol.Result.CCache != warm.CCache {
-		t.Fatalf("warmed pool cache stats differ from warm run:\npool %+v %+v\nwarm %+v %+v",
-			sol.Result.DCache, sol.Result.CCache, warm.DCache, warm.CCache)
-	}
-}
-
-// TestPoolBudget: a pooled query that exceeds its budget fails with
-// ErrStepBudget and leaves the pool healthy for the next query.
+// TestPoolBudget: a pooled session that exhausts its budget suspends,
+// and closing it leaves the pool healthy for the next query.
 func TestPoolBudget(t *testing.T) {
 	spin := compileImage(t, "spin :- spin.\n", "spin.")
 	good := compileImage(t, nrevSrc, "nrev([1,2], R).")
 	pool := engine.New(engine.WithPoolSize(1))
-	_, err := pool.Query(context.Background(), spin, engine.WithBudget(10_000))
-	if !errors.Is(err, machine.ErrStepBudget) {
-		t.Fatalf("spin query: %v, want ErrStepBudget", err)
+	ctx := context.Background()
+	s, err := pool.Begin(ctx, spin, engine.WithBudget(10_000))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sol, err := pool.Query(context.Background(), good)
+	if s.Next(ctx) || !s.Suspended() || s.Err() != nil {
+		t.Fatalf("spin session: suspended=%v err=%v, want a budget suspension", s.Suspended(), s.Err())
+	}
+	s.Close()
+	sol, err := firstSolution(ctx, pool, good)
 	if err != nil || !sol.Success {
 		t.Fatalf("pool unhealthy after budget fault: %v %v", sol, err)
 	}

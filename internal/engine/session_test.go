@@ -148,23 +148,30 @@ func TestSessionSetBudget(t *testing.T) {
 }
 
 // TestPoolOptions: New's functional options set the machine
-// configuration and the pool size, and an explicit Warm builds the
-// full complement.
+// configuration and the pool size, and two concurrent sessions build
+// the full complement.
 func TestPoolOptions(t *testing.T) {
 	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5], R).")
 	pool := engine.New(engine.WithConfig(machine.Config{}), engine.WithPoolSize(2))
 	if pool.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", pool.Size())
 	}
-	if err := pool.Warm(context.Background(), im); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	var held []*engine.Session
+	for i := 0; i < 2; i++ {
+		s, err := pool.Begin(ctx, im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, s)
 	}
-	sol, err := pool.Query(context.Background(), im)
-	if err != nil || !sol.Success {
-		t.Fatalf("query: %v %v", err, sol)
+	for _, s := range held {
+		if !s.Next(ctx) || !s.Solution().Success {
+			t.Fatalf("query: %v %v", s.Err(), s.Solution())
+		}
+		s.Close()
 	}
-	// Warm built and warmed the full complement before the query.
 	if st := pool.Stats(); st.Built != 2 || st.InUse != 0 {
-		t.Fatalf("after warm+query: %+v, want 2 built, 0 in use", st)
+		t.Fatalf("after two sessions: %+v, want 2 built, 0 in use", st)
 	}
 }

@@ -312,7 +312,7 @@ func TestTenantRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for r := 0; r < rounds*2; r++ {
-			sol, err := pool.Query(context.Background(), statIm)
+			sol, err := firstSolution(context.Background(), pool, statIm)
 			if err != nil {
 				errs <- fmt.Errorf("static query: %w", err)
 				return

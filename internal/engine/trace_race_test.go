@@ -74,7 +74,7 @@ func TestPoolTraceRace(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				j := poolJobs[(g+r)%len(poolJobs)]
-				sol, err := pool.Query(context.Background(), j.im)
+				sol, err := firstSolution(context.Background(), pool, j.im)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: %w", g, r, err)
 					return

@@ -85,8 +85,8 @@ func (m *Machine) TruncateCode(top uint32) {
 }
 
 // RegisterPred enters a predicate into the machine's meta-call table,
-// making it callable through the call/1 escape. Incrementally loaded
-// code belongs to no predicate until registered.
+// making it callable through the call/1 escape. Code loaded by LoadDyn
+// belongs to no predicate until registered.
 func (m *Machine) RegisterPred(pi term.Indicator, addr uint32) {
 	m.preds[pi] = addr
 }
@@ -132,12 +132,12 @@ func (m *Machine) flushDyn() {
 }
 
 // LoadDyn loads a freshly linked code block at CodeTop, untimed, and
-// returns its base address. The block is vetted exactly like
-// LoadIncremental (a malformed block is rejected with a CodeError
-// before any word lands); unlike LoadIncremental no simulated cycles
-// are charged, and words that already hold their target value — a
-// rolled-back machine reloading the same tenant's delta — are skipped,
-// keeping their cache residency and predecode.
+// returns its base address. The block is vetted like the boot image
+// (checkCode: a malformed block is rejected with a CodeError before
+// any word lands). No simulated cycles are charged, and words that
+// already hold their target value — a rolled-back machine reloading
+// the same tenant's delta — are skipped, keeping their cache residency
+// and predecode.
 func (m *Machine) LoadDyn(code []word.Word) (uint32, error) {
 	base := m.codeTop
 	if len(code) == 0 {
@@ -162,9 +162,11 @@ func (m *Machine) LoadDyn(code []word.Word) (uint32, error) {
 
 // PatchDyn overwrites already-loaded code at addr, untimed, recording
 // the original words so a later Rollback can restore them. The block
-// is vetted like PatchCode (CheckPatched; a malformed patch is
-// rejected with a CodeError before any word lands), and identical
-// words are skipped like LoadDyn.
+// is vetted before any word lands (analysis.CheckPatched: it must
+// decode cleanly, multi-word instructions must not be truncated, and
+// control transfers must target loaded code; a malformed patch is
+// rejected with a CodeError), and identical words are skipped like
+// LoadDyn.
 func (m *Machine) PatchDyn(addr uint32, code []word.Word) error {
 	end := uint64(addr) + uint64(len(code))
 	if end > uint64(m.codeTop) {

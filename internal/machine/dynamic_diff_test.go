@@ -22,6 +22,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dyndb"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/reader"
 	"repro/internal/term"
@@ -135,10 +136,31 @@ func runStatic(t *testing.T, src, goal string) ([]string, machine.Result) {
 	return enumerate(t, m, entry, im.QueryVars)
 }
 
+// enumerateSession drives a leased session through one complete
+// enumeration like enumerate, then releases it. The Result is the
+// final failed outcome's, so it covers the whole enumeration.
+func enumerateSession(t *testing.T, s *engine.Session) ([]string, machine.Result) {
+	t.Helper()
+	defer s.Close()
+	var sols []string
+	for s.Next(context.Background()) {
+		sols = append(sols, renderBindings(s.Solution().Vars))
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if s.Suspended() {
+		t.Fatalf("suspended on a %d-step budget", int64(diffBudget))
+	}
+	return sols, s.Solution().Result
+}
+
 // runAsserted builds the same program clause by clause through the
 // dynamic database — every predicate chain grows one assertz at a
 // time, with a full rebuild and re-admission per mutation — then runs
-// the goal twice like runStatic.
+// the goal twice like runStatic, on the path kcmd serves: two leases
+// of one compiled goal on a one-machine pool, the first warming the
+// machine, the second measured.
 func runAsserted(t *testing.T, src, goal string) ([]string, machine.Result) {
 	t.Helper()
 	im, ds, err := core.MustLoad(src).BaseImage()
@@ -156,22 +178,24 @@ func runAsserted(t *testing.T, src, goal string) ([]string, machine.Result) {
 			}
 		}
 	}
-	st, err := dyndb.NewStore(db, machine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := reader.ParseTerm(goal)
+	gt, err := reader.ParseTerm(goal)
 	if err != nil {
 		t.Fatalf("goal %q: %v", goal, err)
 	}
-	entry, vars, err := st.LoadGoal(g)
+	g, err := engine.CompileGoal(db.Syms(), gt)
 	if err != nil {
-		t.Fatalf("load goal: %v", err)
+		t.Fatalf("compile goal: %v", err)
 	}
-	m := st.Machine()
-	enumerate(t, m, entry, vars)
-	m.ResetStats()
-	return enumerate(t, m, entry, vars)
+	pool := engine.New(engine.WithPoolSize(1))
+	lease := func() ([]string, machine.Result) {
+		s, err := pool.BeginGoal(context.Background(), db, g, engine.WithBudget(diffBudget))
+		if err != nil {
+			t.Fatalf("lease: %v", err)
+		}
+		return enumerateSession(t, s)
+	}
+	lease() // warm the pool's one machine
+	return lease()
 }
 
 func TestDynamicDifferential(t *testing.T) {

@@ -53,7 +53,7 @@ func wantCodeError(t *testing.T, err error) *CodeError {
 	return ce
 }
 
-func TestLoadIncrementalRejectsOutOfRangeTarget(t *testing.T) {
+func TestLoadDynRejectsOutOfRangeTarget(t *testing.T) {
 	m, err := New(bootImage(t), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestLoadIncrementalRejectsOutOfRangeTarget(t *testing.T) {
 	block := encode(t,
 		kcmisa.Instr{Op: kcmisa.Jump, L: int(top) + 1000}, // past the block
 	)
-	_, err = m.LoadIncremental(block)
+	_, err = m.LoadDyn(block)
 	ce := wantCodeError(t, err)
 	if ce.Base != top {
 		t.Errorf("CodeError.Base = %d, want %d", ce.Base, top)
@@ -72,41 +72,24 @@ func TestLoadIncrementalRejectsOutOfRangeTarget(t *testing.T) {
 	}
 }
 
-func TestLoadIncrementalRejectsTruncatedInstruction(t *testing.T) {
+func TestLoadDynRejectsTruncatedInstruction(t *testing.T) {
 	m, err := New(bootImage(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := encode(t, kcmisa.Instr{Op: kcmisa.SwitchOnTerm,
 		SwT: &kcmisa.TermSwitch{Var: 0, Const: 0, List: 0, Struct: 0}})
-	_, err = m.LoadIncremental(full[:2]) // cut mid-instruction
+	_, err = m.LoadDyn(full[:2]) // cut mid-instruction
 	wantCodeError(t, err)
 }
 
-func TestLoadIncrementalRejectsBadOpcode(t *testing.T) {
+func TestLoadDynRejectsBadOpcode(t *testing.T) {
 	m, err := New(bootImage(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.LoadIncremental([]word.Word{word.Word(250) << 56})
+	_, err = m.LoadDyn([]word.Word{word.Word(250) << 56})
 	wantCodeError(t, err)
-}
-
-func TestLoadBatchRejectsMalformedBlock(t *testing.T) {
-	m, err := New(bootImage(t), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := m.CodeTop()
-	block := encode(t, kcmisa.Instr{Op: kcmisa.Jump, L: 1 << 20})
-	if _, err := m.LoadBatch(block); err == nil {
-		t.Fatal("malformed batch block loaded without error")
-	} else {
-		wantCodeError(t, err)
-	}
-	if m.CodeTop() != top {
-		t.Errorf("rejected batch load moved CodeTop: %d -> %d", top, m.CodeTop())
-	}
 }
 
 func TestNewRejectsCorruptImage(t *testing.T) {

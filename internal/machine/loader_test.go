@@ -24,11 +24,10 @@ func compileModule(t *testing.T, c *compiler.Compiler, src string) *compiler.Mod
 	return m
 }
 
-// testIncrementalLoad consults a base program, boots a machine, then
-// loads a second compilation unit (which calls into the first) at run
-// time via the given loader, and finally runs a query against the new
-// predicate.
-func testIncrementalLoad(t *testing.T, batch bool) {
+// TestLoadDyn consults a base program, boots a machine, then loads a
+// second compilation unit (which calls into the first) at run time
+// through LoadDyn, and finally runs a query against the new predicate.
+func TestLoadDyn(t *testing.T) {
 	c := compiler.New(nil)
 
 	// Base program: the library.
@@ -65,20 +64,11 @@ double(L, D) :- app(L, L, D).
 		t.Fatal(err)
 	}
 	loadBase := m.CodeTop()
-	if batch {
-		// Page handover rounds up to a page boundary.
-		loadBase = (loadBase + 0x3FFF) &^ uint32(0x3FFF)
-	}
 	im2, err := asm.LinkAt(inc, loadBase, im.Entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got uint32
-	if batch {
-		got, err = m.LoadBatch(im2.Code)
-	} else {
-		got, err = m.LoadIncremental(im2.Code)
-	}
+	got, err := m.LoadDyn(im2.Code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,28 +78,20 @@ double(L, D) :- app(L, L, D).
 
 	entry, ok := im2.Entry(compiler.QueryPI)
 	if !ok {
-		t.Fatal("no query entry in incremental unit")
+		t.Fatal("no query entry in the loaded unit")
 	}
 	res, err := m.Run(entry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Success {
-		t.Fatal("incremental query failed")
+		t.Fatal("query of the loaded unit failed")
 	}
 	b := m.QueryBindings(im2.QueryVars)
 	if d := b[term.Var("D")]; d.String() != "[a,b,a,b]" {
 		t.Fatalf("D = %v", d)
 	}
 }
-
-// TestLoadIncremental exercises the write-through-the-code-cache path
-// of section 3.2.1.
-func TestLoadIncremental(t *testing.T) { testIncrementalLoad(t, false) }
-
-// TestLoadBatch exercises the batch path: stage in the data space,
-// flush, and attach the physical pages to the code space.
-func TestLoadBatch(t *testing.T) { testIncrementalLoad(t, true) }
 
 // TestLoadSequence loads several units one after another, each
 // calling predicates from all earlier ones.
@@ -143,7 +125,7 @@ func TestLoadSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.LoadIncremental(im2.Code); err != nil {
+		if _, err := m.LoadDyn(im2.Code); err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range im2.Entries {
@@ -160,7 +142,7 @@ func TestLoadSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.LoadIncremental(im3.Code); err != nil {
+	if _, err := m.LoadDyn(im3.Code); err != nil {
 		t.Fatal(err)
 	}
 	entry, _ := im3.Entry(compiler.QueryPI)

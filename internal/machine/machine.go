@@ -364,7 +364,7 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 	if err := checkCode(im.Code, 0, 0); err != nil {
 		return nil, err
 	}
-	// Load the image through the code MMU (batch mode, untimed).
+	// Load the image through the code MMU (untimed).
 	for a, w := range im.Code {
 		if _, err := m.cmmu.Write(uint32(a), w); err != nil {
 			return nil, fmt.Errorf("machine: loading code: %w", err)
@@ -377,7 +377,7 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 	if m.hook != nil {
 		// Hand address-to-predicate resolution to hooks that want it,
 		// then route the memory system's callbacks into the stream.
-		// Installed after the batch code load so its untimed page
+		// Installed after the boot code load so its untimed page
 		// allocations stay out of the trace.
 		if b, ok := m.hook.(trace.PredBinder); ok {
 			preds := make([]trace.Pred, 0, len(im.Entries))
@@ -439,8 +439,9 @@ type window struct {
 }
 
 // setProbe derives both probe tables from the data MMU's zone
-// descriptors and the data cache's placement. Every change of a
-// descriptor must call it before the next access.
+// descriptors and the data cache's placement. installZones sets those
+// descriptors from Config once, in New, and nothing changes them
+// afterwards, so the tables depend on Config alone.
 func (m *Machine) setProbe() {
 	for i := range m.rwin {
 		t, z := word.Type(i&0xF), word.Zone(i>>4)

@@ -17,7 +17,7 @@ import (
 // hardware keeps the code cache consistent by writing code-space
 // stores through to memory and into the cache in the same cycle, so a
 // fetched instruction is never stale. Here every path that writes the
-// code space — boot, LoadIncremental, LoadBatch, PatchCode —
+// code space after boot — LoadDyn, PatchDyn and Rollback (dyn.go) —
 // invalidates the predecoded entries covering the written range (plus
 // the MaxInstrWords-1 words before it, because a multi-word
 // instruction beginning earlier may extend into the written range and

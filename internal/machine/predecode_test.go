@@ -56,10 +56,10 @@ pad7(X) :- pad5(X), pad6(X).
 		replSrc   string
 		replQuery string
 		wantRepl  string // rendered binding of X after the replacement
-		// patch=true overwrites the image in place with PatchCode;
+		// patch=true overwrites the image in place with PatchDyn;
 		// patch=false hot-loads the replacement at CodeTop with
-		// LoadIncremental (same predicate name, new clause set — the
-		// new unit's query resolves to its own definition).
+		// LoadDyn (same predicate name, new clause set — the new
+		// unit's query resolves to its own definition).
 		patch bool
 		// repartition asserts that the patch moved instruction
 		// boundaries: some address that began a multi-word
@@ -145,11 +145,11 @@ r5(X) :- r1(X). r6(X) :- r2(X).
 				if n > m.CodeTop() {
 					t.Fatalf("replacement (%d words) larger than base image (%d): grow basePad", n, m.CodeTop())
 				}
-				if err := m.PatchCode(0, im2.Code); err != nil {
+				if err := m.PatchDyn(0, im2.Code); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				got, err := m.LoadIncremental(im2.Code)
+				got, err := m.LoadDyn(im2.Code)
 				if err != nil {
 					t.Fatal(err)
 				}

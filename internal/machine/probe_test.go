@@ -3,10 +3,7 @@ package machine
 import (
 	"testing"
 
-	"repro/internal/asm"
-	"repro/internal/compiler"
 	"repro/internal/mmu"
-	"repro/internal/reader"
 	"repro/internal/word"
 )
 
@@ -68,48 +65,5 @@ func TestProbeWindowMatchesCheck(t *testing.T) {
 		if passed == 0 {
 			t.Fatalf("split=%v: no address passed; the table is empty", split)
 		}
-	}
-}
-
-// TestProbeFollowsLoadBatch checks that a zone descriptor installed
-// after New reaches the probe before the next access: the static zone
-// is unmapped until LoadBatch opens its staging window there.
-func TestProbeFollowsLoadBatch(t *testing.T) {
-	c := compiler.New(nil)
-	base := compileModule(t, c, "p.")
-	goal, err := reader.ParseTerm("p.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CompileQuery(base, goal); err != nil {
-		t.Fatal(err)
-	}
-	im, err := asm.Link(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(im, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged := word.DataPtr(word.ZStatic, 0x0E00000)
-	if _, ok := m.readData(staged); ok {
-		t.Fatal("read of the unmapped static zone passed")
-	}
-	m.err = nil
-	unit := compileModule(t, c, "q.")
-	im2, err := asm.LinkAt(unit, (m.CodeTop()+mmu.PageWords-1)&^(mmu.PageWords-1), im.Entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.LoadBatch(im2.Code); err != nil {
-		t.Fatal(err)
-	}
-	checks := m.dmmu.Stats().ZoneChecks
-	if _, ok := m.readData(staged); !ok {
-		t.Fatalf("read of the staging window after LoadBatch: %v", m.err)
-	}
-	if got := m.dmmu.Stats().ZoneChecks - checks; got != 1 {
-		t.Fatalf("read counted %d zone checks, want 1", got)
 	}
 }

@@ -3,15 +3,13 @@ package machine
 import "repro/internal/word"
 
 // The code shadow: a host-side copy of the code space. It is
-// maintained by every path that writes code — the boot image load,
-// LoadIncremental, LoadBatch, PatchCode and the dynamic-database
-// writes — so code can be read without touching the simulated memory
-// system: reading the shadow is untimed and perturbs no cycle or
-// cache counter.
+// maintained by every path that writes code — the boot image load and
+// the dynamic-database writes (dyn.go) — so code can be read without
+// touching the simulated memory system: reading the shadow is untimed
+// and perturbs no cycle or cache counter.
 
 // shadowWrite mirrors a code-space write into the host-side shadow,
-// growing it (zero-filled, which decodes as noop) across the
-// page-alignment gaps of batch loads.
+// growing it to cover the written range.
 func (m *Machine) shadowWrite(base uint32, code []word.Word) {
 	end := int(base) + len(code)
 	for len(m.codeShadow) < end {

@@ -38,7 +38,7 @@ func (m *Machine) emit(ev trace.Event) {
 }
 
 // installTraceHooks routes the memory system's miss/trap callbacks
-// into the event stream. Called once at construction, after the batch
+// into the event stream. Called once at construction, after the boot
 // code load (whose page allocations are untimed and untraced).
 func (m *Machine) installTraceHooks() {
 	m.dcache.OnMiss = func(write bool, va uint32, z word.Zone) {

@@ -289,28 +289,6 @@ func (u *MMU) MappedPages() int {
 // ResetStats clears the counters (the page table stays).
 func (u *MMU) ResetStats() { u.stats = Stats{} }
 
-// Unmap removes the mapping of the page containing va and returns its
-// physical frame, for handing the page to another address space (the
-// batch-compilation path of section 3.2.1).
-func (u *MMU) Unmap(va uint32) (frame uint32, ok bool) {
-	vp := va >> PageBits
-	if vp >= NumPages || u.table[vp] < 0 {
-		return 0, false
-	}
-	f := uint32(u.table[vp])
-	u.table[vp] = -1
-	return f, true
-}
-
-// Map installs an explicit virtual-to-physical mapping, the receiving
-// half of a page handover.
-func (u *MMU) Map(va, frame uint32) {
-	vp := va >> PageBits
-	if vp < NumPages {
-		u.table[vp] = int32(frame)
-	}
-}
-
 // Frames returns the frame allocator this MMU draws from (shared with
 // the other address space's MMU).
 func (u *MMU) Frames() *FrameAlloc { return u.frames }

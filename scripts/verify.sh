@@ -7,6 +7,31 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# gotest runs go test with its arguments once every name in its -run
+# and -fuzz patterns (split at '|') matches a Test, Fuzz or Benchmark
+# func declared in the _test.go files of its packages. go test exits 0
+# when a pattern matches nothing ("no tests to run"), so a gate whose
+# test was renamed or deleted would otherwise stop running silently.
+gotest() {
+    pats='' pkgs='' prev=''
+    for a in "$@"; do
+        case $prev in -run | -fuzz) [ "$a" = '^$' ] || pats="$pats|$a" ;; esac
+        case $a in . | ./*) pkgs="$pkgs $a" ;; esac
+        prev=$a
+    done
+    funcs=$(for p in $pkgs; do cat "$p"/*_test.go; done |
+        sed -n 's/^func \(\(Test\|Fuzz\|Benchmark\)[A-Za-z0-9_]*\)(.*/\1/p')
+    set -f # the names are regular expressions, not file globs
+    for name in $(echo "${pats#|}" | tr '|' ' '); do
+        if ! echo "$funcs" | grep -Eq -- "$name"; then
+            echo "FAIL: no test func in$pkgs matches $name; go test would skip it without a word" >&2
+            exit 1
+        fi
+    done
+    set +f
+    go test "$@"
+}
+
 echo '== gofmt'
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
@@ -28,27 +53,27 @@ echo '== kcmdbench (a nested module the root ./... skips: it must build, vet and
 (cd kcmdbench && go vet . && go test -count=1 .)
 
 echo '== engine pool race tests (plain, traced sessions beside pooled queries, tenant churn across tail compactions)'
-go test -race -run 'TestPoolRace|TestPoolTraceRace|TestTenantCompactionRace' ./internal/engine/
+gotest -race -run 'TestPoolRace|TestPoolTraceRace|TestTenantCompactionRace' ./internal/engine/
 
 echo '== stream writer and stream race tests (enumerator and writer goroutines share the line channel and the cancel func)'
-go test -race -count=5 -run 'TestStream' ./internal/server/
+gotest -race -count=5 -run 'TestStream' ./internal/server/
 
 echo '== differential gates (assert-built == statically-compiled, incl. warm counters; served goal block == whole image, incl. cold and warm counters)'
-go test -count=1 -run 'TestDynamicDifferential|TestServingDifferential' . ./internal/machine/ ./internal/server/
+gotest -count=1 -run 'TestDynamicDifferential|TestServingDifferential' . ./internal/machine/ ./internal/server/
 
-echo '== dyndb fuzz smoke (assert/retract vs model, malformed-clause rejection)'
-go test -count=1 -run '^$' -fuzz 'FuzzAssertRetract' -fuzztime 5s ./internal/dyndb/
-go test -count=1 -run '^$' -fuzz 'FuzzMalformedClause' -fuzztime 5s ./internal/dyndb/
+echo '== dyndb fuzz smoke (assert/retract vs model, malformed-clause rejection; every solve leases through engine.Pool)'
+gotest -count=1 -run '^$' -fuzz 'FuzzAssertRetract' -fuzztime 5s ./internal/dyndb/
+gotest -count=1 -run '^$' -fuzz 'FuzzMalformedClause' -fuzztime 5s ./internal/dyndb/
 
 echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process, across tail compaction and across restart)'
-go test -count=1 -run 'TestSuspendResumeByteIdentical|TestWarmStampParity|TestTenantSuspendAcrossCompaction' ./internal/engine/
-go test -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDisk' ./internal/server/
+gotest -count=1 -run 'TestSuspendResumeByteIdentical|TestTenantSuspendAcrossCompaction' ./internal/engine/
+gotest -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDisk' ./internal/server/
 
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
-go test -count=1 -run '^$' -fuzz 'FuzzRestoreBlob' -fuzztime 5s ./internal/machine/
+gotest -count=1 -run '^$' -fuzz 'FuzzRestoreBlob' -fuzztime 5s ./internal/machine/
 
-echo '== cycle-count pin (kcmbench counters, every other machine.Result counter and every paper table must not drift)'
-go test -run 'TestCyclePin|TestCounterPin|TestTablesGolden' ./internal/bench/
+echo '== cycle-count pin (kcmbench counters, every other machine.Result counter and every paper table must not drift; EXPERIMENTS.md quotes the tables verbatim)'
+gotest -run 'TestCyclePin|TestCounterPin|TestTablesGolden|TestExperimentsExcerpts' ./internal/bench/
 
 echo '== probe inlining (rd and wr must inline to one call of the data-access probe)'
 inl=$(go build -gcflags=-m ./internal/machine 2>&1)
@@ -60,7 +85,7 @@ for f in rd wr; do
 done
 
 echo '== gc stress (benchmarks in tiny heaps, several collections, under -race)'
-go test -race -run 'TestGCStress' ./internal/bench/
+gotest -race -run 'TestGCStress' ./internal/bench/
 
 echo '== coverage floors (scripts/coverage_floors.txt)'
 covprofile=$(mktemp)
