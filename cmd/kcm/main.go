@@ -141,7 +141,7 @@ func run(args []string) (int, error) {
 		var pr *trace.Profiler
 		if profiling {
 			pr = trace.NewProfiler()
-			ro = append(ro[:len(ro):len(ro)], core.WithProfile(pr))
+			ro = append(ro[:len(ro):len(ro)], core.WithTrace(pr))
 		}
 		sols, final, err := enumerate(prog, *query, *budget, ro)
 		return sols, final, pr, err

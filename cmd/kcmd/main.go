@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -95,10 +94,8 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Programs: programs,
-		PoolOptions: []engine.PoolOption{
-			engine.WithPoolSize(*poolSize),
-		},
+		Programs:       programs,
+		PoolSize:       *poolSize,
 		DefaultBudget:  *budget,
 		DefaultTimeout: *timeout,
 		IdleTimeout:    *idle,

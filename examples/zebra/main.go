@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	pr := trace.NewProfiler()
-	sol, err := prog.Query("zebra(Owner, Houses).", core.WithProfile(pr))
+	sol, err := prog.Query("zebra(Owner, Houses).", core.WithTrace(pr))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -419,8 +419,8 @@ func BenchmarkHostStream(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			srv, err := server.New(server.Config{
-				Programs:    map[string]string{"p": c.src},
-				PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
+				Programs: map[string]string{"p": c.src},
+				PoolSize: 1,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/word"
@@ -26,20 +25,8 @@ var vcache = struct {
 // (load patterns are bursty, LRU bookkeeping is not worth it).
 const vcacheLimit = 1024
 
-func hashWords(ws []word.Word) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, w := range ws {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(w) >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
 func vcacheKey(code []word.Word, base, codeTop uint32) uint64 {
-	h := hashWords(code)
+	h := word.HashWords(code)
 	// Mix the placement: the same words are valid at one base and
 	// invalid at another.
 	h ^= (uint64(base)<<32 | uint64(codeTop)) * 0x9e3779b97f4a7c15

@@ -2,8 +2,8 @@
 // caches: the copy-back data cache, direct-mapped but split into 8
 // sections of 1K words selected by the zone field of the address so
 // that different stacks can never collide, and the write-through code
-// cache with page-mode prefetch. Both have a line size of one word
-// and an 80 ns (single-cycle) hit time.
+// cache. Both have a line size of one word and an 80 ns (single-cycle)
+// hit time; a miss fills exactly one line.
 package cache
 
 import "repro/internal/word"
@@ -230,16 +230,14 @@ func (c *Data) Peek(va uint32, z word.Zone) (word.Word, bool) {
 	return 0, false
 }
 
-// Code is the 8K-word write-through instruction cache. On a miss the
-// fill uses the memory page mode to prefetch the next sequential
-// words, which favours straight-line code.
+// Code is the 8K-word write-through instruction cache. A miss fills
+// the one line it missed on; no neighbouring word is fetched ahead.
 type Code struct {
 	// Fixed-size array for the same bounds-check-free hit path as
 	// Data.lines; Touch runs it once per fetched code word.
-	lines    [CodeWords]line
-	back     Backing
-	prefetch int
-	stats    Stats
+	lines [CodeWords]line
+	back  Backing
+	stats Stats
 
 	// OnMiss, when non-nil, observes every read miss after the
 	// statistics are counted (Touch misses route through Read and are
@@ -251,11 +249,9 @@ type Code struct {
 // CodeWords is the code cache capacity.
 const CodeWords = 8 * 1024
 
-// Init readies a code cache held by value; prefetch is the number of
-// sequential words fetched ahead on a miss (0 disables).
-func (c *Code) Init(back Backing, prefetch int) {
-	c.back, c.prefetch = back, prefetch
-}
+// Init readies a code cache held by value; the zero Code has no
+// backing.
+func (c *Code) Init(back Backing) { c.back = back }
 
 // Read fetches a code word.
 func (c *Code) Read(va uint32) (word.Word, int, error) {
@@ -273,28 +269,14 @@ func (c *Code) Read(va uint32) (word.Word, int, error) {
 		return 0, cost, err
 	}
 	*ln = line{key: tag(word.ZNone, va), data: w}
-	// Page-mode prefetch of the following words.
-	for i := 1; i <= c.prefetch; i++ {
-		pv := va + uint32(i)
-		pl := &c.lines[pv%CodeWords]
-		if pl.key == tag(word.ZNone, pv) {
-			continue
-		}
-		pw, pc, err := c.back.Read(pv)
-		if err != nil {
-			break // prefetch beyond the image is harmless
-		}
-		cost += pc
-		*pl = line{key: tag(word.ZNone, pv), data: pw}
-	}
 	return w, cost, nil
 }
 
 // Touch performs n sequential reads starting at va and returns the
 // summed cost. It is the fetch-replay path of the predecoded
 // instruction cache: accounting is identical to n successive Read
-// calls (hits count a read at zero cost; a miss takes the full
-// fill-and-prefetch path), only the per-word call overhead is gone.
+// calls (hits count a read at zero cost; a miss takes Read's fill),
+// only the per-word call overhead is gone.
 // allHit reports whether every word was already resident — callers
 // with a residency guarantee (code image no larger than the cache, so
 // no conflict can ever evict a filled line) may then replace future

@@ -35,9 +35,9 @@ func newData(back Backing, split bool) *Data {
 	return c
 }
 
-func newCode(back Backing, prefetch int) *Code {
+func newCode(back Backing) *Code {
 	c := new(Code)
-	c.Init(back, prefetch)
+	c.Init(back)
 	return c
 }
 
@@ -120,34 +120,22 @@ func TestDataPeek(t *testing.T) {
 	}
 }
 
+// TestCodePrefetch: the code cache prefetches nothing. A miss fills
+// exactly the line it missed on, so the next sequential word misses
+// too; every pinned table was computed this way.
 func TestCodePrefetch(t *testing.T) {
 	b := newBack()
 	for i := uint32(0); i < 64; i++ {
 		b.data[i] = word.Word(i)
 	}
-	c := newCode(b, 3)
-	c.Read(0) // miss: fetches 0 and prefetches 1..3
-	for i := uint32(1); i <= 3; i++ {
-		if _, cost, _ := c.Read(i); cost != 0 {
-			t.Fatalf("word %d not prefetched", i)
-		}
+	c := newCode(b)
+	c.Read(0)
+	if _, cost, _ := c.Read(1); cost == 0 {
+		t.Fatal("word 1 cached after a miss on word 0")
 	}
-	if s := c.Stats(); s.ReadMiss != 1 {
-		t.Fatalf("misses %d, want 1 (prefetch covers the rest)", s.ReadMiss)
+	if s := c.Stats(); s.ReadMiss != 2 || b.reads != 2 {
+		t.Fatalf("misses %d, backing reads %d; want 2 each (one line per miss)", s.ReadMiss, b.reads)
 	}
-	nop := newCode(newBackFrom(b.data), 0)
-	nop.Read(0)
-	if _, cost, _ := nop.Read(1); cost == 0 {
-		t.Fatal("prefetch disabled but word 1 cached")
-	}
-}
-
-func newBackFrom(data map[uint32]word.Word) *fakeBack {
-	b := newBack()
-	for k, v := range data {
-		b.data[k] = v
-	}
-	return b
 }
 
 func TestHitRatio(t *testing.T) {

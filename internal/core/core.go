@@ -190,22 +190,13 @@ func WithMaxSolutions(k int) QueryOption {
 // WithTrace attaches a trace hook to the query's machine. Several
 // hooks (and a hook already present in the configuration) compose:
 // each receives the full event stream. Tracing never changes the
-// simulated counters; see internal/trace.
+// simulated counters; see internal/trace. A trace.Profiler attached
+// here is the per-predicate cycle profile: after the query, read
+// pr.Rows(), pr.Total() and pr.FoldedMap().
 func WithTrace(h trace.Hook) QueryOption {
 	return func(o *queryOpts) {
 		if h != nil {
 			o.hooks = append(o.hooks, h)
-		}
-	}
-}
-
-// WithProfile attaches a per-predicate cycle profiler; after the
-// query, read pr.Rows(), pr.Total() and pr.FoldedMap(). Equivalent to
-// WithTrace(pr).
-func WithProfile(pr *trace.Profiler) QueryOption {
-	return func(o *queryOpts) {
-		if pr != nil {
-			o.hooks = append(o.hooks, pr)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 
@@ -52,9 +51,10 @@ type imagePool struct {
 type PoolOption func(*Pool)
 
 // WithConfig replaces the whole machine configuration the pool builds
-// its machines with. Every machine shares cfg.Hook, and hooks are not
-// safe for concurrent use, so a pool that runs queries concurrently
-// needs a nil Hook.
+// its machines with. cfg.Hook must be nil: every machine would share
+// it, and hooks are not safe for concurrent use, so New panics on a
+// non-nil Hook. Trace one query through core.WithTrace instead.
+// cfg.Out is ignored: pooled queries discard their output.
 func WithConfig(cfg machine.Config) PoolOption {
 	return func(p *Pool) { p.cfg = cfg }
 }
@@ -66,7 +66,8 @@ func WithPoolSize(n int) PoolOption {
 }
 
 // New creates a machine pool. With no options it serves each image
-// with up to GOMAXPROCS(0) default-configuration machines.
+// with up to GOMAXPROCS(0) default-configuration machines. It panics
+// when WithConfig carries a trace hook (see WithConfig).
 func New(options ...PoolOption) *Pool {
 	p := &Pool{
 		images: make(map[*asm.Image]*imagePool),
@@ -75,6 +76,10 @@ func New(options ...PoolOption) *Pool {
 	for _, opt := range options {
 		opt(p)
 	}
+	if p.cfg.Hook != nil {
+		panic("engine: WithConfig carries a trace hook, which every pooled machine would share")
+	}
+	p.cfg.Out = nil
 	if p.size <= 0 {
 		p.size = runtime.GOMAXPROCS(0)
 	}
@@ -112,14 +117,7 @@ func (p *Pool) Stats() PoolStats {
 type Option func(*opts)
 
 type opts struct {
-	out    io.Writer
 	budget uint64
-}
-
-// WithWriter directs the query's write/1 and nl/0 output to w. By
-// default pooled queries discard output.
-func WithWriter(w io.Writer) Option {
-	return func(o *opts) { o.out = w }
 }
 
 // WithBudget bounds each Next slice of the session to n simulated

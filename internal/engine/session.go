@@ -87,7 +87,6 @@ func (p *Pool) Begin(ctx context.Context, im *asm.Image, options ...Option) (*Se
 		return nil, err
 	}
 	m.Reset() // also clears any fault a previous query left behind
-	m.SetOut(o.out)
 	m.Begin(entry)
 	return &Session{p: p, ip: ip, m: m, im: im, budget: p.budget(o.budget)}, nil
 }

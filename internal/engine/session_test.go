@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 const memberSrc = `
@@ -174,4 +175,16 @@ func TestPoolOptions(t *testing.T) {
 	if st := pool.Stats(); st.Built != 2 || st.InUse != 0 {
 		t.Fatalf("after two sessions: %+v, want 2 built, 0 in use", st)
 	}
+}
+
+// TestPoolRejectsSharedHook: every machine of a pool would share a
+// configured trace hook, and hooks are not safe for concurrent use, so
+// New refuses one.
+func TestPoolRejectsSharedHook(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a configuration carrying a trace hook")
+		}
+	}()
+	engine.New(engine.WithConfig(machine.Config{Hook: trace.NewProfiler()}))
 }

@@ -5,32 +5,34 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/asm"
 	"repro/internal/dyndb"
 	"repro/internal/machine"
 	"repro/internal/snapshot"
 	"repro/internal/term"
 )
 
-// Session park and resume: a suspended enumeration serialized to a
-// snapshot blob, releasable to disk or another process, and resumed
+// Session park and resume: a suspended database session serialized to
+// a snapshot blob, releasable to disk or another process, and resumed
 // onto any pooled machine later — the BinProlog first-class-engine
 // idea taken across the process boundary, and the mechanism behind
-// kcmd sessions surviving a daemon restart.
+// kcmd sessions surviving a daemon restart. An engine parks and comes
+// back through the one path kcmd serves: BeginGoal/BeginDyn, Suspend,
+// ResumeDyn.
 //
 // The blob embeds, besides the machine state, a small session block
-// (enumeration phase, solutions delivered, step budget) and — for
-// database sessions — the dynamic database version the installed delta
-// was materialized from. Resume re-creates the code environment the
-// same way Begin/BeginGoal would (same image, same delta install, same
-// goal block at the same frontier) and then proves it got the same
-// bytes via the blob's image hash before any state is restored.
+// (enumeration phase, solutions delivered, step budget) and the
+// dynamic database version the installed delta was materialized from.
+// ResumeDyn re-creates the code environment the same way BeginGoal
+// would (same delta install, same goal block at the same frontier) and
+// then proves it got the same bytes via the blob's image hash before
+// any state is restored.
 
 // Suspend/resume sentinel errors.
 var (
-	// ErrNotSuspendable reports a session whose enumeration has
-	// already ended (exhausted, failed or faulted) — there is nothing
-	// left to park.
+	// ErrNotSuspendable reports a session that cannot be parked: its
+	// enumeration has already ended (exhausted, failed or faulted), so
+	// there is nothing left to park, or it was leased from a whole
+	// image by Begin, which ResumeDyn could not bring back.
 	ErrNotSuspendable = errors.New("engine: session not suspendable")
 	// ErrStaleDelta reports a resume against a tenant database that
 	// has been mutated, reloaded or rolled back since the snapshot was
@@ -49,18 +51,25 @@ const (
 	blobSessRedo = 2 // a solution is out; Redo before the next RunFor
 )
 
-// Suspend serializes the session — machine state, enumeration phase,
-// delivered count, budget, and the database delta version if any — into
+// Suspend serializes a database session — machine state, enumeration
+// phase, delivered count, budget and the database delta version — into
 // a snapshot blob and closes the session, releasing its machine back
 // to the pool. The enumeration must still be live: mid-stream after a
 // solution, budget-suspended, or not yet started. The blob can be
-// resumed in this process or another with Resume/ResumeDyn.
+// resumed in this process or another with ResumeDyn. A session leased
+// by Begin is refused with ErrNotSuspendable and stays open.
 func (s *Session) Suspend() ([]byte, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
 	if s.state == sessDone || (s.err != nil && !s.ctxErr) {
 		return nil, fmt.Errorf("%w: enumeration already ended", ErrNotSuspendable)
+	}
+	s.p.mu.Lock()
+	ds := s.p.dyn[s.m]
+	s.p.mu.Unlock()
+	if ds == nil || ds.db == nil {
+		return nil, fmt.Errorf("%w: session leased from a whole image; only database sessions park", ErrNotSuspendable)
 	}
 	st, err := s.m.Capture()
 	if err != nil {
@@ -74,80 +83,14 @@ func (s *Session) Suspend() ([]byte, error) {
 	}
 	st.SessDelivered = uint64(s.delivered)
 	st.SessBudget = s.budget
-	// Database sessions record which delta version the machine's code
-	// was materialized from, offset by one so zero stays unambiguously
-	// "whole image, no delta".
-	s.p.mu.Lock()
-	ds := s.p.dyn[s.m]
-	s.p.mu.Unlock()
-	if ds != nil && ds.db != nil {
-		st.DeltaVersion = ds.view.Version + 1
-		st.DeltaTop = ds.view.Top
-	}
+	// The delta version the machine's code was materialized from,
+	// offset by one so zero stays unambiguously "whole image, no delta"
+	// (what a whole-image session of an older daemon parked).
+	st.DeltaVersion = ds.view.Version + 1
+	st.DeltaTop = ds.view.Top
 	blob := snapshot.Encode(st)
 	s.Close()
 	return blob, nil
-}
-
-// decodeSession decodes a parked session's blob, refusing a bare
-// machine capture.
-func decodeSession(blob []byte) (*snapshot.State, error) {
-	st, err := snapshot.Decode(blob)
-	if err != nil {
-		return nil, err
-	}
-	if st.SessState == 0 {
-		return nil, ErrNoSession
-	}
-	return st, nil
-}
-
-// restore lands a parked session's machine state on a leased machine
-// whose code environment has been rebuilt, and returns the resumed
-// session. On error the machine is released.
-func (p *Pool) restore(ip *imagePool, m *machine.Machine, im *asm.Image, st *snapshot.State, o *opts) (*Session, error) {
-	m.SetOut(o.out)
-	if err := m.Restore(st); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	if o.budget == 0 {
-		o.budget = st.SessBudget
-	}
-	state := sessRun
-	if st.SessState == blobSessRedo {
-		state = sessRedo
-	}
-	return &Session{
-		p: p, ip: ip, m: m, im: im, budget: p.budget(o.budget),
-		delivered: int(st.SessDelivered),
-		state:     state,
-	}, nil
-}
-
-// Resume restores a suspended whole-image session from a blob onto a
-// pooled machine of im. The image must be the same compile the session
-// was suspended from (the blob's content hash proves it); blobs parked
-// from database sessions are rejected — use ResumeDyn. Options may
-// override the parked step budget and output writer.
-func (p *Pool) Resume(ctx context.Context, im *asm.Image, blob []byte, options ...Option) (*Session, error) {
-	var o opts
-	for _, opt := range options {
-		opt(&o)
-	}
-	st, err := decodeSession(blob)
-	if err != nil {
-		return nil, err
-	}
-	if st.DeltaVersion != 0 {
-		return nil, fmt.Errorf("engine: snapshot carries a database delta; resume it with ResumeDyn")
-	}
-	m, ip, err := p.acquire(ctx, im, nil)
-	if err != nil {
-		return nil, err
-	}
-	m.Reset()
-	return p.restore(ip, m, im, st, &o)
 }
 
 // ResumeDyn restores a suspended database session: the goal is
@@ -157,16 +100,20 @@ func (p *Pool) Resume(ctx context.Context, im *asm.Image, blob []byte, options .
 // is restored on top. The database must still be at the version the
 // blob was parked from — any assert, retract, reload or rollback since
 // makes the parked delta stale and the resume fails with
-// ErrStaleDelta. A blob parked from a whole image (Begin) carries no
-// delta and is refused with machine.ErrImageMismatch.
+// ErrStaleDelta. A blob an older daemon parked from a whole image
+// carries no delta and is refused with machine.ErrImageMismatch.
+// Options may override the parked step budget.
 func (p *Pool) ResumeDyn(ctx context.Context, db *dyndb.DB, goal term.Term, blob []byte, options ...Option) (*Session, error) {
 	var o opts
 	for _, opt := range options {
 		opt(&o)
 	}
-	st, err := decodeSession(blob)
+	st, err := snapshot.Decode(blob)
 	if err != nil {
 		return nil, err
+	}
+	if st.SessState == 0 {
+		return nil, ErrNoSession
 	}
 	if st.DeltaVersion == 0 {
 		return nil, fmt.Errorf("%w: snapshot parked from a whole image carries no database delta",
@@ -191,9 +138,23 @@ func (p *Pool) ResumeDyn(ctx context.Context, db *dyndb.DB, goal term.Term, blob
 		err = fmt.Errorf("%w: snapshot delta frontier %d, database view %d",
 			ErrStaleDelta, st.DeltaTop, top)
 	}
+	if err == nil {
+		err = m.Restore(st)
+	}
 	if err != nil {
 		p.release(ip, m)
 		return nil, err
 	}
-	return p.restore(ip, m, qim, st, &o)
+	if o.budget == 0 {
+		o.budget = st.SessBudget
+	}
+	state := sessRun
+	if st.SessState == blobSessRedo {
+		state = sessRedo
+	}
+	return &Session{
+		p: p, ip: ip, m: m, im: qim, budget: p.budget(o.budget),
+		delivered: int(st.SessDelivered),
+		state:     state,
+	}, nil
 }

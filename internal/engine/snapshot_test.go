@@ -1,17 +1,24 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/compiler"
+	"repro/internal/dyndb"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/mmu"
+	"repro/internal/snapshot"
+	"repro/internal/term"
 )
 
 func mustEntry(t *testing.T, im *asm.Image) uint32 {
@@ -65,33 +72,66 @@ func enumerate(t *testing.T, s *engine.Session) []solutionTrace {
 	return out
 }
 
-// TestSuspendResumeByteIdentical is the tentpole's correctness bar at
-// the engine level: park a session mid-enumeration, resume the blob on
-// a DIFFERENT pool (fresh machines — the in-process stand-in for
-// another process), and the Redo-driven continuation must deliver the
-// same solutions with the same cycle counts and cache statistics as a
-// session that was never suspended.
-func TestSuspendResumeByteIdentical(t *testing.T) {
-	im := compileImage(t, nrevSrc+memberSrc,
-		"nrev([1,2,3,4,5,6,7,8], R), member(X, [a,b,c]).")
-
-	// Reference: uninterrupted enumeration.
-	refPool := engine.New(engine.WithPoolSize(1))
-	rs, err := refPool.Begin(context.Background(), im)
+// neverParked enumerates goal over db to exhaustion on a fresh pool:
+// the reference a parked and resumed session must reproduce.
+func neverParked(t *testing.T, db *dyndb.DB, goal term.Term) ([]solutionTrace, machine.Result) {
+	t.Helper()
+	s, err := engine.New(engine.WithPoolSize(1)).BeginDyn(context.Background(), db, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := enumerate(t, rs)
-	rs.Close()
-	refFinal := rs.Result()
+	ref := enumerate(t, s)
+	s.Close()
 	if len(ref) != 3 {
 		t.Fatalf("reference delivered %d solutions, want 3", len(ref))
 	}
+	return ref, s.Result()
+}
+
+// resumeMatches resumes blob, parked after `park` solutions, on a
+// DIFFERENT pool (fresh machines — the in-process stand-in for another
+// process) and requires the Redo-driven continuation to deliver the
+// rest of ref with the same counters, and to finish on refFinal's.
+func resumeMatches(t *testing.T, db *dyndb.DB, goal term.Term, blob []byte, park int, ref []solutionTrace, refFinal machine.Result) {
+	t.Helper()
+	r, err := engine.New(engine.WithPoolSize(1)).ResumeDyn(context.Background(), db, goal, blob)
+	if err != nil {
+		t.Fatalf("park=%d: ResumeDyn: %v", park, err)
+	}
+	if r.Delivered() != park {
+		t.Fatalf("park=%d: Delivered()=%d after resume", park, r.Delivered())
+	}
+	rest := enumerate(t, r)
+	if len(rest) != len(ref)-park {
+		t.Fatalf("park=%d: resumed session delivered %d more, want %d",
+			park, len(rest), len(ref)-park)
+	}
+	for j, got := range rest {
+		if got != ref[park+j] {
+			t.Fatalf("park=%d sol %d after resume differs:\n got %+v\nwant %+v",
+				park, park+j, got, ref[park+j])
+		}
+	}
+	r.Close()
+	if got, want := countersOf(r.Result()), countersOf(refFinal); got != want {
+		t.Fatalf("park=%d: final counters differ:\n got %+v\nwant %+v", park, got, want)
+	}
+}
+
+// TestSuspendResumeByteIdentical is the correctness bar of parking at
+// the engine level: park a database session at every point of its
+// enumeration, resume the blob on a fresh pool, and the continuation
+// must deliver the same solutions with the same cycle counts and cache
+// statistics as a session that was never suspended.
+func TestSuspendResumeByteIdentical(t *testing.T) {
+	db := seedDB(t, nrevSrc+memberSrc)
+	goal := parse(t, goldenGoal)
+	ref, refFinal := neverParked(t, db, goal)
 
 	for park := 0; park <= len(ref); park++ {
 		// Deliver `park` solutions, then suspend.
 		poolA := engine.New(engine.WithPoolSize(1))
-		s, err := poolA.Begin(context.Background(), im)
+		s, err := poolA.BeginDyn(context.Background(), db, goal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,43 +151,17 @@ func TestSuspendResumeByteIdentical(t *testing.T) {
 		if st := poolA.Stats(); st.InUse != 0 {
 			t.Fatalf("park=%d: Suspend leaked the machine (in_use=%d)", park, st.InUse)
 		}
-
-		// Resume on a different pool: fresh machines, same image.
-		poolB := engine.New(engine.WithPoolSize(1))
-		r, err := poolB.Resume(context.Background(), im, blob)
-		if err != nil {
-			t.Fatalf("park=%d: Resume: %v", park, err)
-		}
-		if r.Delivered() != park {
-			t.Fatalf("park=%d: Delivered()=%d after resume", park, r.Delivered())
-		}
-		rest := enumerate(t, r)
-		if len(rest) != len(ref)-park {
-			t.Fatalf("park=%d: resumed session delivered %d more, want %d",
-				park, len(rest), len(ref)-park)
-		}
-		for j, got := range rest {
-			if got != ref[park+j] {
-				t.Fatalf("park=%d sol %d after resume differs:\n got %+v\nwant %+v",
-					park, park+j, got, ref[park+j])
-			}
-		}
-		r.Close()
-		if fin := r.Result(); fin.Stats != refFinal.Stats ||
-			fin.DCache != refFinal.DCache || fin.CCache != refFinal.CCache ||
-			fin.GC != refFinal.GC {
-			t.Fatalf("park=%d: final counters differ:\n got %+v\nwant %+v",
-				park, fin, refFinal)
-		}
+		resumeMatches(t, db, goal, blob, park, ref, refFinal)
 	}
 }
 
 // TestSuspendBudgetSuspended: a session parked while budget-suspended
 // (mid-slice, no solution out) resumes to the same answers.
 func TestSuspendBudgetSuspended(t *testing.T) {
-	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5,6,7,8,9,10], R).")
+	db := seedDB(t, nrevSrc)
+	goal := parse(t, "nrev([1,2,3,4,5,6,7,8,9,10], R)")
 	pool := engine.New(engine.WithPoolSize(1))
-	s, err := pool.Begin(context.Background(), im, engine.WithBudget(50))
+	s, err := pool.BeginDyn(context.Background(), db, goal, engine.WithBudget(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +172,7 @@ func TestSuspendBudgetSuspended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := pool.Resume(context.Background(), im, blob, engine.WithBudget(10_000_000))
+	r, err := pool.ResumeDyn(context.Background(), db, goal, blob, engine.WithBudget(10_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +188,19 @@ func TestSuspendBudgetSuspended(t *testing.T) {
 // TestSuspendResumeErrors pins the typed failure modes of the park
 // and resume paths.
 func TestSuspendResumeErrors(t *testing.T) {
+	ctx := context.Background()
+	db := seedDB(t, memberSrc)
+	goal := parse(t, "member(X, [1])")
+	other := parse(t, "member(X, [1,2])")
 	im := compileImage(t, memberSrc, "member(X, [1]).")
-	other := compileImage(t, memberSrc, "member(X, [1,2]).")
 	pool := engine.New(engine.WithPoolSize(1))
 
 	// Exhausted session: nothing left to park.
-	s, err := pool.Begin(context.Background(), im)
+	s, err := pool.BeginDyn(ctx, db, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s.Next(context.Background()) {
+	for s.Next(ctx) {
 	}
 	if _, err := s.Suspend(); !errors.Is(err, engine.ErrNotSuspendable) {
 		t.Fatalf("suspend exhausted: %v, want ErrNotSuspendable", err)
@@ -193,8 +210,18 @@ func TestSuspendResumeErrors(t *testing.T) {
 		t.Fatalf("suspend closed: %v, want ErrSessionClosed", err)
 	}
 
+	// A whole-image session has no way back, so it does not park.
+	sb, err := pool.Begin(ctx, im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sb.Suspend(); !errors.Is(err, engine.ErrNotSuspendable) {
+		t.Fatalf("suspend of a Begin session: %v, want ErrNotSuspendable", err)
+	}
+	sb.Close()
+
 	// A live blob to abuse below.
-	s2, err := pool.Begin(context.Background(), im)
+	s2, err := pool.BeginDyn(ctx, db, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,21 +230,28 @@ func TestSuspendResumeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resuming onto a different compile is refused by the image hash.
-	if _, err := pool.Resume(context.Background(), other, blob); !errors.Is(err, machine.ErrImageMismatch) {
-		t.Fatalf("cross-image resume: %v, want ErrImageMismatch", err)
-	}
-	// A static blob cannot be resumed through the tenant path.
-	if _, err := pool.ResumeDyn(context.Background(), nil, nil, blob); err == nil ||
-		errors.Is(err, engine.ErrNoSession) {
-		t.Fatalf("static blob via ResumeDyn: %v, want delta-direction error", err)
+	// Resuming as a different goal is refused by the image hash.
+	if _, err := pool.ResumeDyn(ctx, db, other, blob); !errors.Is(err, machine.ErrImageMismatch) {
+		t.Fatalf("cross-goal resume: %v, want ErrImageMismatch", err)
 	}
 
-	// A bare machine capture (no session block) is not resumable.
+	// A session block with no database delta, as an older daemon
+	// parked a whole-image session, is refused too.
 	m, err := machine.New(im, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Begin(mustEntry(t, im))
+	st, err := m.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SessState = 1
+	if _, err := pool.ResumeDyn(ctx, db, goal, snapshot.Encode(st)); !errors.Is(err, machine.ErrImageMismatch) {
+		t.Fatalf("no-delta blob via ResumeDyn: %v, want ErrImageMismatch", err)
+	}
+
+	// A bare machine capture (no session block) is not resumable.
 	if _, err := m.Run(mustEntry(t, im)); err != nil {
 		t.Fatal(err)
 	}
@@ -225,18 +259,81 @@ func TestSuspendResumeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Resume(context.Background(), im, bare); !errors.Is(err, engine.ErrNoSession) {
+	if _, err := pool.ResumeDyn(ctx, db, goal, bare); !errors.Is(err, engine.ErrNoSession) {
 		t.Fatalf("bare capture resume: %v, want ErrNoSession", err)
 	}
 
 	// Garbage bytes surface the snapshot package's typed errors.
-	if _, err := pool.Resume(context.Background(), im, blob[:10]); err == nil {
+	if _, err := pool.ResumeDyn(ctx, db, goal, blob[:10]); err == nil {
 		t.Fatal("truncated blob accepted")
 	}
 
 	// The pool must still be healthy after every refusal.
-	sol, err := firstSolution(context.Background(), pool, im)
-	if err != nil || sol.String() != "X = 1" {
-		t.Fatalf("pool unhealthy after refusals: %v %v", sol, err)
+	r, err := pool.BeginDyn(ctx, db, goal)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer r.Close()
+	if !r.Next(ctx) {
+		t.Fatalf("pool unhealthy after refusals: %v", r.Err())
+	}
+	if got := r.Solution().String(); got != "X = 1" {
+		t.Fatalf("pool unhealthy after refusals: %s", got)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden parked blob in testdata/")
+
+// goldenBlob is a session parked the way kcmd parks one: nrev of 8
+// elements then member/2 over a seed database, suspended after its
+// first solution.
+const goldenBlob = "testdata/nrev8_member.blob"
+
+// goldenGoal is the goal the golden blob was parked from.
+const goldenGoal = "nrev([1,2,3,4,5,6,7,8], R), member(X, [a,b,c])"
+
+// TestParkedBlobGolden pins the snapshot format a daemon writes to its
+// -state directory. A fresh capture of the scenario must equal the
+// committed bytes, and the committed blob must resume on a fresh pool
+// over a freshly seeded database (a restarted daemon) to the same
+// solutions and counters as a run that was never parked. Regenerate
+// with
+//
+//	go test ./internal/engine/ -run TestParkedBlobGolden -update
+//
+// only for an intended format or simulation change: every blob an
+// older daemon parked stops resuming with it.
+func TestParkedBlobGolden(t *testing.T) {
+	ctx := context.Background()
+	goal := parse(t, goldenGoal)
+
+	s, err := engine.New(engine.WithPoolSize(1)).BeginDyn(ctx, seedDB(t, nrevSrc+memberSrc), goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Next(ctx) {
+		t.Fatalf("first solution: err=%v", s.Err())
+	}
+	blob, err := s.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.FromSlash(goldenBlob)
+	if *update {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(blob, golden) {
+		t.Fatalf("parked blob (%d bytes) differs from %s (%d bytes)", len(blob), goldenBlob, len(golden))
+	}
+
+	// A restarted daemon: a freshly seeded database and fresh pools.
+	db := seedDB(t, nrevSrc+memberSrc)
+	ref, refFinal := neverParked(t, db, goal)
+	resumeMatches(t, db, goal, golden, 1, ref, refFinal)
 }

@@ -179,7 +179,6 @@ func (p *Pool) BeginGoal(ctx context.Context, db *dyndb.DB, g *Goal, options ...
 		p.release(ip, m)
 		return nil, err
 	}
-	m.SetOut(o.out)
 	m.Begin(qim.Entries[compiler.QueryPI])
 	return &Session{p: p, ip: ip, m: m, im: qim, budget: p.budget(o.budget)}, nil
 }

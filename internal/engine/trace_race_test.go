@@ -95,7 +95,7 @@ func TestPoolTraceRace(t *testing.T) {
 				it, err := sj.prog.Solutions(sj.query,
 					core.WithBudget(300),
 					core.WithMaxSolutions(2),
-					core.WithProfile(pr),
+					core.WithTrace(pr),
 					core.WithTrace(ring))
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: session: %w", g, r, err)

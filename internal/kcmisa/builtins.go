@@ -35,16 +35,6 @@ var BuiltinByName = map[term.Indicator]int{
 	term.Ind("call", 1):    BICall,
 }
 
-// BuiltinName returns the display name of a built-in number.
-func BuiltinName(id int) string {
-	for pi, n := range BuiltinByName {
-		if n == id {
-			return pi.String()
-		}
-	}
-	return "builtin?"
-}
-
 // BuiltinArity returns the number of argument registers a built-in
 // consumes.
 func BuiltinArity(id int) int {

@@ -64,13 +64,6 @@ type Config struct {
 	// each trail check costs explicit compare cycles.
 	HWTrail *bool
 
-	// CodePrefetch is the number of words prefetched on a code-cache
-	// miss (page mode); -1 selects the default.
-	CodePrefetch int
-
-	// MemWords is the physical memory size; 0 selects one board.
-	MemWords uint32
-
 	// Out receives the output of write/1 and nl/0.
 	Out io.Writer
 
@@ -316,12 +309,6 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 	if cfg.TrailBase == 0 {
 		cfg.TrailBase, cfg.TrailSize = DefTrailBase, DefTrailSize
 	}
-	if cfg.MemWords == 0 {
-		cfg.MemWords = mem.BoardWords
-	}
-	if cfg.CodePrefetch < 0 {
-		cfg.CodePrefetch = 3
-	}
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
 	}
@@ -353,13 +340,13 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 	}
 	m.fetch = m.fetchCode
 	m.preds = maps.Clone(im.Entries)
-	m.phys = mem.New(cfg.MemWords)
+	m.phys = mem.New(mem.BoardWords)
 	// The two address spaces draw physical frames from one pool.
 	frames := mmu.NewFrameAlloc(m.phys)
 	m.cmmu.Init(m.phys, frames)
 	m.dmmu.Init(m.phys, frames)
 	m.dcache.Init(&m.dmmu, boolDefault(cfg.SplitDataCache, true))
-	m.icache.Init(&m.cmmu, cfg.CodePrefetch)
+	m.icache.Init(&m.cmmu)
 	m.installZones()
 	if err := checkCode(im.Code, 0, 0); err != nil {
 		return nil, err
@@ -577,12 +564,3 @@ func (m *Machine) Reset() {
 // possibly a half-executed instruction); callers pooling machines
 // should discard or Reset such a machine rather than reuse it as-is.
 func (m *Machine) Err() error { return m.err }
-
-// SetOut redirects write/1 and nl/0 output (nil selects io.Discard).
-// Pooled machines are rebound to the writer of each query they serve.
-func (m *Machine) SetOut(w io.Writer) {
-	if w == nil {
-		w = io.Discard
-	}
-	m.out = w
-}

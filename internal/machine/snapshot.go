@@ -62,15 +62,18 @@ func (m *Machine) ImageHash() uint64 {
 	if top > len(m.codeShadow) {
 		top = len(m.codeShadow)
 	}
-	return snapshot.HashWords(m.codeShadow[:top])
+	return word.HashWords(m.codeShadow[:top])
 }
 
 // configFingerprint hashes every configuration input that changes
-// simulated behaviour: zone geometry, cache split and prefetch, the
-// hardware-assist flags, the cost table, the clock, physical memory
-// size, and the GC settings. Host-only knobs (profiling, tracing, step budgets, output writers) are deliberately excluded —
-// they do not affect counters, so they need not match across a
-// migration.
+// simulated behaviour: zone geometry, the cache split, the
+// hardware-assist flags, the cost table, the clock and the GC
+// settings. Host-only knobs (tracing, step budgets, output writers)
+// are deliberately excluded — they do not affect counters, so they
+// need not match across a migration. The text keeps " pf=0" (the
+// code cache prefetches nothing) and the board size: both are
+// constants, but every parked blob hashed them, so the text must not
+// change.
 func (m *Machine) configFingerprint() uint64 {
 	if m.fingerprinted {
 		return m.fingerprint
@@ -84,22 +87,12 @@ func (m *Machine) configFingerprint() uint64 {
 	fmt.Fprintf(h, " split=%v shallow=%v hwderef=%v hwtrail=%v",
 		boolDefault(m.cfg.SplitDataCache, true),
 		m.shallow, m.hwDeref, m.hwTrail)
-	fmt.Fprintf(h, " pf=%d mem=%d cyc=%g", m.icachePrefetch(), m.phys.Size(), m.cfg.CycleNs)
+	fmt.Fprintf(h, " pf=0 mem=%d cyc=%g", m.phys.Size(), m.cfg.CycleNs)
 	fmt.Fprintf(h, " gct=%d gcov=%v wm=%d thw=%d",
 		m.gcThreshold, m.gcOnOverflow, m.heapWatermark, m.trailHighWater)
 	fmt.Fprintf(h, " costs=%+v", m.costs)
 	m.fingerprint, m.fingerprinted = h.Sum64(), true
 	return m.fingerprint
-}
-
-// icachePrefetch re-derives the resolved prefetch depth from the
-// config the same way New did.
-func (m *Machine) icachePrefetch() int {
-	pf := m.cfg.CodePrefetch
-	if pf < 0 {
-		pf = 3
-	}
-	return pf
 }
 
 // captureLocalTop computes the first free local-stack word exactly as

@@ -518,3 +518,27 @@ func FuzzRestoreBlob(f *testing.F) {
 		}
 	})
 }
+
+// TestConfigFingerprintPinned pins the configuration fingerprint every
+// blob carries. Restore refuses a blob whose fingerprint differs from
+// the machine's, so a change to the fingerprint's text or inputs
+// strands every blob an older daemon parked.
+func TestConfigFingerprintPinned(t *testing.T) {
+	im := buildImage(t, memberSrc, "member(X, [1]).")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"default", Config{}, 0xda686bf993f1ffcf},
+		{"shallow off", Config{Shallow: Off}, 0xc3061ca097032a0e},
+	} {
+		m, err := New(im, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.configFingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/engine"
 	"repro/internal/wire"
 )
 
@@ -29,8 +28,8 @@ app([H|T], L, [H|R]) :- app(T, L, R).
 
 func TestAssertQueryRetractOverHTTP(t *testing.T) {
 	_, c := startServer(t, Config{
-		Programs:    map[string]string{"colors": dynSrc},
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		Programs: map[string]string{"colors": dynSrc},
+		PoolSize: 2,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -173,8 +172,8 @@ func TestAssertRejections(t *testing.T) {
 // race probe over server, engine, dyndb and machine layers at once.
 func TestTenantHTTPRace(t *testing.T) {
 	srv, c := startServer(t, Config{
-		Programs:    map[string]string{"colors": dynSrc},
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(3)},
+		Programs: map[string]string{"colors": dynSrc},
+		PoolSize: 3,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -238,7 +237,7 @@ func TestTenantHTTPRace(t *testing.T) {
 // uninterned when the machine is built.
 func TestMetaCallAfterQuery(t *testing.T) {
 	for _, tenant := range []string{"", "t"} {
-		_, c := startServer(t, Config{PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)}})
+		_, c := startServer(t, Config{PoolSize: 1})
 		for _, q := range []string{"member(X, [a]).", "call(member(X, [a, b]))."} {
 			rep, code := postRaw(t, c.Base(), "/v1/query", wire.QueryRequest{Goal: q, Tenant: tenant})
 			if code != http.StatusOK || rep.Status != wire.StatusYes || rep.Bindings["X"] != "a" {

@@ -41,15 +41,14 @@ import (
 type Config struct {
 	// Programs maps a program name to its Prolog source text.
 	Programs map[string]string
-	// PoolOptions configure the machine pool (engine.WithPoolSize,
-	// engine.WithConfig). The pool size caps the machines per
-	// program: tenantless and tenant requests of a program share them.
-	PoolOptions []engine.PoolOption
+	// PoolSize caps the machines per program (<= 0 selects
+	// GOMAXPROCS(0)): tenantless and tenant requests of a program share
+	// them.
+	PoolSize int
 	// DefaultBudget is the per-slice step budget when a request
-	// carries none (default 50M instructions).
+	// carries none (default 50M instructions). Every budget is clamped
+	// to 1G instructions.
 	DefaultBudget uint64
-	// MaxBudget clamps client-supplied budgets (default 1G).
-	MaxBudget uint64
 	// DefaultTimeout bounds a request's execution wall-clock time
 	// when the request carries none (default 30s).
 	DefaultTimeout time.Duration
@@ -97,16 +96,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultBudget == 0 {
 		cfg.DefaultBudget = 50_000_000
 	}
-	if cfg.MaxBudget == 0 {
-		cfg.MaxBudget = 1_000_000_000
-	}
 	if cfg.DefaultTimeout == 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	pool := engine.New(cfg.PoolOptions...)
+	pool := engine.New(engine.WithPoolSize(cfg.PoolSize))
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = 4 * pool.Size()
 	}
@@ -225,16 +221,15 @@ func (s *Server) resolveProgram(program string) (string, *dynProg, error) {
 	return program, prog, nil
 }
 
-// clampBudget applies the request -> default -> max budget policy.
+// clampBudget applies the request -> default -> max budget policy. The
+// max is the machine's own default step bound.
 func (s *Server) clampBudget(req uint64) uint64 {
+	const maxBudget = 1_000_000_000
 	b := req
 	if b == 0 {
 		b = s.cfg.DefaultBudget
 	}
-	if b > s.cfg.MaxBudget {
-		b = s.cfg.MaxBudget
-	}
-	return b
+	return min(b, maxBudget)
 }
 
 // runCtx derives the execution context for one request slice.

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/engine"
 	"repro/internal/wire"
 )
 
@@ -74,7 +73,7 @@ func startServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 // acquire is exercised too.
 func TestConcurrentNextAndCancel(t *testing.T) {
 	srv, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		PoolSize: 2,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -142,7 +141,7 @@ func TestConcurrentNextAndCancel(t *testing.T) {
 // request and no machine is touched after its release.
 func TestNextCancelSameSession(t *testing.T) {
 	_, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		PoolSize: 2,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -181,7 +180,7 @@ func TestNextCancelSameSession(t *testing.T) {
 // its enumeration.
 func TestIdleEviction(t *testing.T) {
 	srv, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		PoolSize:    2,
 		IdleTimeout: 100 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -237,7 +236,7 @@ func TestIdleEviction(t *testing.T) {
 // and every machine returned to the pool.
 func TestDrainCompletesSuspended(t *testing.T) {
 	srv, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		PoolSize: 2,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/machine"
+	"repro/internal/snapshot"
 	"repro/internal/wire"
 )
 
@@ -22,7 +24,7 @@ import (
 // not it names a tenant, so a goal without its final '.' is accepted on
 // both request kinds and agrees with the terminated form.
 func TestServingDifferentialHTTP(t *testing.T) {
-	_, c := startServer(t, Config{PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)}})
+	_, c := startServer(t, Config{PoolSize: 1})
 	for _, tenant := range []string{"", "t"} {
 		for _, goal := range []string{"member(X, [a,b])", "member(X, [a,b])."} {
 			var got []string
@@ -41,7 +43,7 @@ func TestServingDifferentialHTTP(t *testing.T) {
 // pool's machines built, none leased, and the goal cache within its
 // bound.
 func TestDistinctGoalFlood(t *testing.T) {
-	srv, c := startServer(t, Config{PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)}})
+	srv, c := startServer(t, Config{PoolSize: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	const goals, clients = 256, 8
@@ -118,8 +120,8 @@ func TestDistinctGoalFlood(t *testing.T) {
 // per program, and built stays within programs x pool size.
 func TestProgramMachinesShared(t *testing.T) {
 	_, c := startServer(t, Config{
-		Programs:    map[string]string{"lists": testSrc, "colors": dynSrc},
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		Programs: map[string]string{"lists": testSrc, "colors": dynSrc},
+		PoolSize: 2,
 	})
 	ctx := context.Background()
 	for _, q := range []wire.QueryRequest{
@@ -148,7 +150,7 @@ func TestProgramMachinesShared(t *testing.T) {
 // another goal of the same program waits for it (503 at its deadline)
 // and runs once the session is cancelled.
 func TestParkedSessionHoldsProgramMachine(t *testing.T) {
-	_, c := startServer(t, Config{PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)}})
+	_, c := startServer(t, Config{PoolSize: 1})
 	ctx := context.Background()
 	rep, err := c.Query(ctx, wire.QueryRequest{Goal: "member(X, [a,b]).", Enumerate: true})
 	if err != nil || rep.Status != wire.StatusYes || rep.Session == "" {
@@ -177,14 +179,18 @@ func TestResumeRefusesWholeImageBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := engine.New(engine.WithPoolSize(1)).Begin(context.Background(), im)
+	m, err := machine.New(im, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := sess.Suspend()
+	entry, _ := im.Entry(compiler.QueryPI)
+	m.Begin(entry)
+	st, err := m.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.SessState = 1 // the session block a whole-image Suspend wrote
+	blob := snapshot.Encode(st)
 	const handle = "0123456789abcdef"
 	if err := srv.writeEnvelope(handle, envelope{Program: "lists", Goal: longGoal, Blob: blob}); err != nil {
 		t.Fatal(err)

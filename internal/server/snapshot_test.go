@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/wire"
 )
 
@@ -48,7 +47,7 @@ func postRaw(t *testing.T, base, path string, body any) (wire.Reply, int) {
 func runReference(t *testing.T, goal string) ([]wire.Reply, wire.Reply) {
 	t.Helper()
 	_, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
+		PoolSize: 1,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -97,8 +96,8 @@ func TestSuspendResumeAcrossRestart(t *testing.T) {
 	}
 
 	cfg := Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
-		StateDir:    t.TempDir(),
+		PoolSize: 1,
+		StateDir: t.TempDir(),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -162,8 +161,8 @@ func TestSuspendResumeAcrossRestart(t *testing.T) {
 func TestDrainParksSessionsToDisk(t *testing.T) {
 	refSols, refEnd := runReference(t, longGoal)
 	cfg := Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
-		StateDir:    t.TempDir(),
+		PoolSize: 1,
+		StateDir: t.TempDir(),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -221,8 +220,8 @@ func TestDrainParksSessionsToDisk(t *testing.T) {
 // is a 409 (the snapshot references a rebuilt delta).
 func TestTenantSuspendResumeHTTP(t *testing.T) {
 	_, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
-		StateDir:    t.TempDir(),
+		PoolSize: 1,
+		StateDir: t.TempDir(),
 	})
 	base := c.Base()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -278,7 +277,7 @@ func TestTenantSuspendResumeHTTP(t *testing.T) {
 // the resume handle).
 func TestDoneReasonsTyped(t *testing.T) {
 	srv, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		PoolSize:    2,
 		IdleTimeout: 300 * time.Millisecond,
 		StateDir:    t.TempDir(),
 	})
@@ -339,7 +338,7 @@ func TestDoneReasonsTyped(t *testing.T) {
 // atomicity and the done-reason protocol.
 func TestEvictSuspendCancelRace(t *testing.T) {
 	srv, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(2)},
+		PoolSize:    2,
 		IdleTimeout: 100 * time.Millisecond,
 		StateDir:    t.TempDir(),
 	})
@@ -402,7 +401,7 @@ func TestEvictSuspendCancelRace(t *testing.T) {
 // has no state directory.
 func TestSuspendWithoutStateDir(t *testing.T) {
 	_, c := startServer(t, Config{
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
+		PoolSize: 1,
 	})
 	base := c.Base()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/wire"
 )
 
@@ -181,8 +180,8 @@ func TestStreamTerminalLines(t *testing.T) {
 // so the next query on the 1-machine pool is served.
 func TestStreamClientGoneReleasesMachine(t *testing.T) {
 	srv, c := startServer(t, Config{
-		Programs:    map[string]string{"nat": "nat(0).\nnat(N) :- nat(M), N is M + 1.\n"},
-		PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
+		Programs: map[string]string{"nat": "nat(0).\nnat(N) :- nat(M), N is M + 1.\n"},
+		PoolSize: 1,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/cache"
@@ -160,29 +159,10 @@ type State struct {
 	MemPageH uint64
 
 	// Session block, used by the engine layer to park a suspended
-	// enumeration; zero for a bare machine capture. Goal is the query
-	// text (recompiled on resume; the image hash gate proves the
-	// recompile reproduced the code the blob ran against).
-	Goal          string
+	// enumeration; zero for a bare machine capture.
 	SessState     uint8
 	SessDelivered uint64
 	SessBudget    uint64
-}
-
-// HashWords is the content hash used for image identity: FNV-1a over
-// the little-endian bytes of each word. Deterministic across processes
-// and builds.
-func HashWords(ws []word.Word) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, w := range ws {
-		v := uint64(w)
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -254,7 +234,7 @@ func Encode(s *State) []byte {
 	w.u64(s.MemWrite)
 	w.u64(s.MemPageH)
 
-	w.str(s.Goal)
+	w.u32(0) // a retired goal-text slot: an empty length-prefixed string
 	w.u8(s.SessState)
 	w.u64(s.SessDelivered)
 	w.u64(s.SessBudget)
@@ -356,7 +336,7 @@ func Decode(b []byte) (*State, error) {
 	s.MemWrite = r.u64()
 	s.MemPageH = r.u64()
 
-	s.Goal = r.str()
+	r.str() // the retired goal-text slot; no blob ever filled it
 	s.SessState = r.u8()
 	s.SessDelivered = r.u64()
 	s.SessBudget = r.u64()
@@ -434,11 +414,6 @@ func (w *writer) words(ws []word.Word) {
 	for _, x := range ws {
 		w.u64(uint64(x))
 	}
-}
-
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
 }
 
 func (w *writer) dataLines(ls []cache.LineState) {

@@ -44,7 +44,6 @@ func sample() *State {
 		DataMMU:  mmu.Stats{Translations: 35, PageFaults: 2, ZoneChecks: 700, ZoneTraps: 1},
 		CodeMMU:  mmu.Stats{Translations: 31, PageFaults: 1},
 		MemReads: 52, MemWrite: 15, MemPageH: 40,
-		Goal:      "nrev([1,2,3], R).",
 		SessState: 2, SessDelivered: 4, SessBudget: 100000,
 	}
 }
@@ -139,20 +138,5 @@ func TestValidateRejectsInsaneSections(t *testing.T) {
 	s.SessState = 3
 	if _, err := Decode(Encode(s)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("bad session state: %v, want ErrMalformed", err)
-	}
-}
-
-// TestHashWordsDeterministic pins the image-hash function: stable
-// values, order-sensitive, length-sensitive.
-func TestHashWordsDeterministic(t *testing.T) {
-	a := HashWords([]word.Word{1, 2, 3})
-	if a != HashWords([]word.Word{1, 2, 3}) {
-		t.Fatal("hash not deterministic")
-	}
-	if a == HashWords([]word.Word{3, 2, 1}) {
-		t.Fatal("hash not order-sensitive")
-	}
-	if a == HashWords([]word.Word{1, 2}) {
-		t.Fatal("hash not length-sensitive")
 	}
 }

@@ -232,3 +232,19 @@ func (w Word) String() string {
 		return fmt.Sprintf("%s(%#x)", t, w.Value())
 	}
 }
+
+// HashWords is the content hash of a word sequence: 64-bit FNV-1a over
+// the little-endian bytes of each word. Snapshots carry it as the code
+// image's identity and the verifier keys its verdict cache with it, so
+// its values must never change: every parked blob holds one.
+func HashWords(ws []Word) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, w := range ws {
+		for shift := 0; shift < 64; shift += 8 {
+			h ^= uint64(w) >> shift & 0xFF
+			h *= prime
+		}
+	}
+	return h
+}

@@ -128,3 +128,22 @@ func TestDataPtrIsMake(t *testing.T) {
 		}
 	}
 }
+
+// TestHashWordsDeterministic pins the image-hash function: stable
+// values, order-sensitive, length-sensitive. The two values are those
+// of the hash/fnv implementation it replaced.
+func TestHashWordsDeterministic(t *testing.T) {
+	a := HashWords([]Word{1, 2, 3})
+	if a != 0xda2bfb225e0d1f05 {
+		t.Fatalf("HashWords({1,2,3}) = %#x, want 0xda2bfb225e0d1f05", a)
+	}
+	if got := HashWords(nil); got != 0xcbf29ce484222325 {
+		t.Fatalf("HashWords(nil) = %#x, want the FNV-1a offset basis", got)
+	}
+	if a == HashWords([]Word{3, 2, 1}) {
+		t.Fatal("hash not order-sensitive")
+	}
+	if a == HashWords([]Word{1, 2}) {
+		t.Fatal("hash not length-sensitive")
+	}
+}

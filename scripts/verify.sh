@@ -65,8 +65,9 @@ echo '== dyndb fuzz smoke (assert/retract vs model, malformed-clause rejection; 
 gotest -count=1 -run '^$' -fuzz 'FuzzAssertRetract' -fuzztime 5s ./internal/dyndb/
 gotest -count=1 -run '^$' -fuzz 'FuzzMalformedClause' -fuzztime 5s ./internal/dyndb/
 
-echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process, across tail compaction and across restart)'
-gotest -count=1 -run 'TestSuspendResumeByteIdentical|TestTenantSuspendAcrossCompaction' ./internal/engine/
+echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process, across tail compaction and across restart; the committed parked blob and the config fingerprint must not drift, so blobs older daemons parked still resume)'
+gotest -count=1 -run 'TestSuspendResumeByteIdentical|TestTenantSuspendAcrossCompaction|TestParkedBlobGolden' ./internal/engine/
+gotest -count=1 -run 'TestConfigFingerprintPinned' ./internal/machine/
 gotest -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDisk' ./internal/server/
 
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
