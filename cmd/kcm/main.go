@@ -52,7 +52,6 @@ func run(args []string) (int, error) {
 		cache     = fs.Bool("cache", false, "print cache statistics")
 		traceText = fs.Bool("trace", false, "stream every trace event to stderr, one text line each in the golden-trace format (macrocode monitor; no register dump)")
 		shallow   = fs.Bool("shallow", true, "enable shallow backtracking (delayed choice points)")
-		warm      = fs.Bool("warm", false, "time a second run with warm caches (paper protocol)")
 		prof      = fs.Bool("profile", false, "per-predicate cycle profile (flat + cumulative tables)")
 		tracejson = fs.String("tracejson", "", "stream structured trace events to this JSONL file")
 		folded    = fs.String("folded", "", "write folded stacks (flamegraph collapsed format) to this file")
@@ -110,9 +109,6 @@ func run(args []string) (int, error) {
 		opts = append(opts, core.WithBudget(*budget))
 	}
 
-	// The stream sinks are opened once and see every run (with -warm,
-	// both the cold and the warm run; each run's events restart at
-	// sequence 1 on its own machine).
 	var sinks []trace.Hook
 	if *traceText {
 		text := trace.NewText(os.Stderr)
@@ -131,32 +127,15 @@ func run(args []string) (int, error) {
 	if h := trace.Tee(sinks...); h != nil {
 		opts = append(opts, core.WithTrace(h))
 	}
-	profiling := *prof || *folded != ""
-
-	// once executes one enumeration with its own profiler, so with
-	// -warm the reported profile covers only the displayed (warm) run
-	// while the stream sinks keep everything.
-	once := func() ([]*core.Solution, *core.Solution, *trace.Profiler, error) {
-		ro := opts
-		var pr *trace.Profiler
-		if profiling {
-			pr = trace.NewProfiler()
-			ro = append(ro[:len(ro):len(ro)], core.WithTrace(pr))
-		}
-		sols, final, err := enumerate(prog, *query, *budget, ro)
-		return sols, final, pr, err
+	var pr *trace.Profiler
+	if *prof || *folded != "" {
+		pr = trace.NewProfiler()
+		opts = append(opts, core.WithTrace(pr))
 	}
 
-	sols, final, pr, err := once()
+	sols, final, err := enumerate(prog, *query, *budget, opts)
 	if err != nil {
 		return 1, err
-	}
-	if *warm && len(sols) > 0 {
-		// Second run for the timing (the paper's best-of-several
-		// protocol).
-		if sols2, final2, pr2, err := once(); err == nil && len(sols2) > 0 {
-			sols, final, pr = sols2, final2, pr2
-		}
 	}
 
 	if *folded != "" && pr != nil {
@@ -226,6 +205,9 @@ func enumerate(prog *core.Program, query string, budget uint64, opts []core.Quer
 		return nil, nil, it.Err()
 	}
 	if it.Suspended() {
+		if budget == 0 {
+			budget = machine.DefaultBudget
+		}
 		return nil, nil, fmt.Errorf("query suspended: budget of %d instructions exhausted", budget)
 	}
 	final := it.Solution()

@@ -36,6 +36,13 @@ import (
 	"repro/internal/wire"
 )
 
+// runToHalt boots m at entry and runs it to halt or fault.
+func runToHalt(m *machine.Machine, entry uint32) (machine.Result, error) {
+	m.Begin(entry)
+	_, err := m.RunFor(nil, 0)
+	return m.Result(), err
+}
+
 // hostRun compiles the program once, boots one machine, warms it with
 // a full run, then times repeated warm executions. This isolates the
 // interpreter loop: compilation, linking and machine construction are
@@ -52,7 +59,7 @@ func hostRun(b *testing.B, p bench.Program) {
 		b.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	if _, err := m.Run(entry); err != nil {
+	if _, err := runToHalt(m, entry); err != nil {
 		b.Fatal(err)
 	}
 	// Settle the runtime before the timer. ResetTimer stops the world,
@@ -69,11 +76,12 @@ func hostRun(b *testing.B, p bench.Program) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ResetStats()
-		if _, err := m.Run(entry); err != nil {
+		m.Reset()
+		res, err := runToHalt(m, entry)
+		if err != nil {
 			b.Fatal(err)
 		}
-		stats = m.Stats()
+		stats = res.Stats
 	}
 	b.StopTimer()
 	b.ReportMetric(stats.Klips(), "simulated-Klips")
@@ -182,14 +190,14 @@ func BenchmarkHostWarmBoot(b *testing.B) {
 		b.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	if _, err := m.Run(entry); err != nil {
+	if _, err := runToHalt(m, entry); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
-		if _, err := m.Run(entry); err != nil {
+		if _, err := runToHalt(m, entry); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +206,7 @@ func BenchmarkHostWarmBoot(b *testing.B) {
 // BenchmarkHostWarmRestore times a snapshot restore: one machine runs
 // the query once and is captured, and every iteration restores that
 // snapshot onto a sibling machine. This is the cost a session pays to
-// come back from a snapshot blob (engine.Pool.Resume), and what a
+// come back from a snapshot blob (engine.Pool.ResumeDyn), and what a
 // parked session spilled to a blob would pay to resume. The ratio to
 // BenchmarkHostWarmBoot is the speedup recorded in BENCH_10.json.
 func BenchmarkHostWarmRestore(b *testing.B) {
@@ -212,7 +220,7 @@ func BenchmarkHostWarmRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	if _, err := proto.Run(entry); err != nil {
+	if _, err := runToHalt(proto, entry); err != nil {
 		b.Fatal(err)
 	}
 	snap, err := proto.Capture()
@@ -251,7 +259,7 @@ func BenchmarkHostBoot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Run(entry); err != nil {
+		if _, err := runToHalt(m, entry); err != nil {
 			b.Fatal(err)
 		}
 	}

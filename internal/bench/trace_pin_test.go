@@ -20,10 +20,10 @@ import (
 func TestCyclePinTraced(t *testing.T) {
 	for _, p := range Suite {
 		prof := trace.NewProfiler()
-		// A ring sink rides along so the event stream itself is also
-		// exercised (fan-out through Tee, every kind constructed).
-		ring := trace.NewRing(256)
-		r, err := RunKCMWarm(p, false, machine.Config{Hook: trace.Tee(prof, ring)})
+		// A recorder sink rides along so the event stream itself is
+		// also exercised (fan-out through Tee, every kind constructed).
+		rec := trace.NewRecorder(256)
+		r, err := RunKCMWarm(p, false, machine.Config{Hook: trace.Tee(prof, rec)})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -40,8 +40,8 @@ func TestCyclePinTraced(t *testing.T) {
 			t.Errorf("%s: profiler total %d != machine cycles %d (leak of %d)",
 				p.Name, total, r.Stats.Cycles, int64(r.Stats.Cycles)-int64(total))
 		}
-		if ring.Seen() == 0 {
-			t.Errorf("%s: no events reached the ring sink", p.Name)
+		if len(rec.Events()) == 0 {
+			t.Errorf("%s: no events reached the recorder sink", p.Name)
 		}
 		// The folded stacks must account for every instruction cycle:
 		// total minus the non-instruction buckets (boot; redo and fault
@@ -65,7 +65,7 @@ func TestCyclePinTraced(t *testing.T) {
 
 // TestTracedColdParity pins the cold path too: the same machine run
 // cold with and without a hook must agree on every counter (the warm
-// pin above only covers the post-ResetStats run).
+// pin above only covers the run after Reset).
 func TestTracedColdParity(t *testing.T) {
 	for _, name := range []string{"nrev1", "queens"} {
 		p, ok := ByName(name)

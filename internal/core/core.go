@@ -146,12 +146,11 @@ func (s *Solution) String() string {
 type QueryOption func(*queryOpts)
 
 type queryOpts struct {
-	cfg       machine.Config
-	ctx       context.Context
-	budget    uint64
-	budgetSet bool
-	maxSols   int
-	hooks     []trace.Hook
+	cfg     machine.Config
+	ctx     context.Context
+	budget  uint64
+	maxSols int
+	hooks   []trace.Hook
 }
 
 // WithConfig replaces the whole machine configuration.
@@ -171,14 +170,14 @@ func WithContext(ctx context.Context) QueryOption {
 	return func(o *queryOpts) { o.ctx = ctx }
 }
 
-// WithBudget bounds execution to n instructions per run slice. On a
-// one-shot Query, exhausting the budget fails with
-// machine.ErrStepBudget. On a Solutions iterator the budget applies
-// per Next call and exhaustion is resumable: Next reports no solution
-// with Suspended() true, and the next Next call continues the
+// WithBudget bounds execution to n instructions per run slice (0:
+// machine.DefaultBudget). On a one-shot Query, exhausting the budget
+// fails with machine.ErrStepBudget. On a Solutions iterator the budget
+// applies per Next call and exhaustion is resumable: Next reports no
+// solution with Suspended() true, and the next Next call continues the
 // suspended search with a fresh budget.
 func WithBudget(n uint64) QueryOption {
-	return func(o *queryOpts) { o.budget = n; o.budgetSet = n > 0 }
+	return func(o *queryOpts) { o.budget = n }
 }
 
 // WithMaxSolutions stops a Solutions iterator after k solutions
@@ -225,8 +224,8 @@ func (p *Program) Query(query string, opts ...QueryOption) (*Solution, error) {
 
 // Solutions compiles a goal and returns an iterator over its
 // solutions, driven by redo-based enumeration on one machine: after
-// each solution the iterator forces a failure into the topmost choice
-// point and resumes the search. The usual loop is
+// each solution the next RunFor slice forces a failure into the
+// topmost choice point and resumes the search. The usual loop is
 //
 //	it, err := prog.Solutions("member(X, [1,2,3]).")
 //	for it.Next() {
@@ -234,25 +233,17 @@ func (p *Program) Query(query string, opts ...QueryOption) (*Solution, error) {
 //	}
 //	if it.Err() != nil { ... }
 type Solutions struct {
-	m         *machine.Machine
-	im        *asm.Image
-	ctx       context.Context
-	budget    uint64
-	budgetSet bool
-	maxSols   int
+	m       *machine.Machine
+	im      *asm.Image
+	ctx     context.Context
+	budget  uint64
+	maxSols int
 
 	cur       *Solution // last outcome (success or the final failure)
 	err       error
 	suspended bool
 	delivered int
-	state     int
 }
-
-const (
-	iterRun  = iota // next step: RunFor (fresh goal or resumed slice)
-	iterRedo        // a solution is out; Redo before the next RunFor
-	iterDone        // exhausted, failed, errored, or maxSols reached
-)
 
 // Solutions starts a solution iterator for the goal. No instruction
 // runs until the first Next call.
@@ -277,20 +268,11 @@ func (p *Program) Solutions(query string, opts ...QueryOption) (*Solutions, erro
 		return nil, fmt.Errorf("core: no query entry point")
 	}
 	budget := o.budget
-	if !o.budgetSet {
-		// Legacy semantics: the configuration's hard step bound (the
-		// machine default when unset), raised as an error, not a
-		// resumable suspension.
-		budget = o.cfg.MaxSteps
-		if budget == 0 {
-			budget = 1_000_000_000
-		}
+	if budget == 0 {
+		budget = machine.DefaultBudget
 	}
 	m.Begin(entry)
-	return &Solutions{
-		m: m, im: im, ctx: o.ctx,
-		budget: budget, budgetSet: o.budgetSet, maxSols: o.maxSols,
-	}, nil
+	return &Solutions{m: m, im: im, ctx: o.ctx, budget: budget, maxSols: o.maxSols}, nil
 }
 
 // Next advances to the next solution. It returns false when the
@@ -300,36 +282,22 @@ func (p *Program) Solutions(query string, opts ...QueryOption) (*Solutions, erro
 // the search with a fresh budget.
 func (it *Solutions) Next() bool {
 	it.suspended = false
-	if it.err != nil || it.state == iterDone {
+	if it.err != nil || it.cur != nil && !it.cur.Success ||
+		it.maxSols > 0 && it.delivered >= it.maxSols {
 		return false
-	}
-	if it.state == iterRedo {
-		if err := it.m.Redo(); err != nil {
-			it.err = err
-			it.state = iterDone
-			return false
-		}
-		it.state = iterRun
 	}
 	st, err := it.m.RunFor(it.ctx, it.budget)
 	if err != nil {
 		it.err = err
-		it.state = iterDone
 		return false
 	}
 	if st == machine.Suspended {
-		if !it.budgetSet {
-			it.err = fmt.Errorf("core: %w: %d steps", machine.ErrStepBudget, it.budget)
-			it.state = iterDone
-			return false
-		}
-		it.suspended = true // state stays iterRun: Next resumes
+		it.suspended = true
 		return false
 	}
 	res := it.m.Result()
 	if !res.Success {
 		it.cur = &Solution{Success: false, Result: res}
-		it.state = iterDone
 		return false
 	}
 	it.cur = &Solution{
@@ -338,11 +306,6 @@ func (it *Solutions) Next() bool {
 		Result:  res,
 	}
 	it.delivered++
-	if it.maxSols > 0 && it.delivered >= it.maxSols {
-		it.state = iterDone
-	} else {
-		it.state = iterRedo
-	}
 	return true
 }
 

@@ -115,12 +115,11 @@ func TestSolutionsBudgetResume(t *testing.T) {
 	}
 }
 
-// TestQueryLegacyBudgetError: without WithBudget, running out of the
-// configured MaxSteps is a hard ErrStepBudget error (legacy Run
-// semantics), not a silent suspension.
+// TestQueryLegacyBudgetError: on a one-shot Query, running out of the
+// step budget is a hard ErrStepBudget error, not a silent suspension.
 func TestQueryLegacyBudgetError(t *testing.T) {
 	p := MustLoad(iterSrc)
-	_, err := p.Query("spin.", WithConfig(machine.Config{MaxSteps: 2000}))
+	_, err := p.Query("spin.", WithBudget(2000))
 	if !errors.Is(err, machine.ErrStepBudget) {
 		t.Fatalf("got %v, want ErrStepBudget", err)
 	}

@@ -122,20 +122,17 @@ type opts struct {
 
 // WithBudget bounds each Next slice of the session to n simulated
 // instructions; a slice that exhausts it suspends the session
-// (Session.Suspended) and the next Next resumes. The default is the
-// pool configuration's MaxSteps (or the machine default when unset).
+// (Session.Suspended) and the next Next resumes. The default is
+// machine.DefaultBudget.
 func WithBudget(n uint64) Option {
 	return func(o *opts) { o.budget = n }
 }
 
-// budget resolves a session's step budget: n when set, else the pool
-// configuration's MaxSteps, else the machine default.
+// budget resolves a session's step budget: n when set, else the
+// machine default.
 func (p *Pool) budget(n uint64) uint64 {
 	if n == 0 {
-		n = p.cfg.MaxSteps
-	}
-	if n == 0 {
-		n = 1_000_000_000
+		return machine.DefaultBudget
 	}
 	return n
 }

@@ -64,6 +64,13 @@ func compileImage(t *testing.T, src, query string) *asm.Image {
 	return im
 }
 
+// runToHalt boots m at entry and runs it to halt or fault.
+func runToHalt(m *machine.Machine, entry uint32) (machine.Result, error) {
+	m.Begin(entry)
+	_, err := m.RunFor(nil, 0)
+	return m.Result(), err
+}
+
 // firstSolution runs im to its first solution on one Begin session and
 // releases the machine: a one-shot pooled query. A session that stops
 // on its step budget is an error here; TestPoolBudget holds one.
@@ -84,11 +91,11 @@ func firstSolution(ctx context.Context, p *engine.Pool, im *asm.Image, options .
 	return s.Solution(), nil
 }
 
-// TestPoolParity is the tentpole's byte-identical guarantee at the
-// pool level: a single query served by a pooled machine reports
-// exactly the simulated cycle counts and cache statistics of a
-// dedicated machine.Run — cold (first query on a fresh machine) and
-// warm (second query on the same machine).
+// TestPoolParity is the byte-identical guarantee at the pool level: a
+// single query served by a pooled machine reports exactly the
+// simulated cycle counts and cache statistics of a dedicated machine
+// run with Begin and RunFor — cold (first query on a fresh machine)
+// and warm (second query on the same machine).
 func TestPoolParity(t *testing.T) {
 	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5,6,7,8,9,10], R).")
 	entry, ok := im.Entry(compiler.QueryPI)
@@ -100,12 +107,12 @@ func TestPoolParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := m.Run(entry)
+	cold, err := runToHalt(m, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ResetStats()
-	warm, err := m.Run(entry)
+	m.Reset()
+	warm, err := runToHalt(m, entry)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // creates, runs, suspends and resumes — and it is what the kcmd
 // network front-end parks in its session table between requests.
 //
-// The iteration protocol mirrors core.Solutions exactly:
+// The iteration protocol is the one core.Solutions uses:
 //
 //	s, err := pool.Begin(ctx, im, engine.WithBudget(100_000))
 //	for s.Next(ctx) {
@@ -52,17 +52,9 @@ type Session struct {
 	ctxErr    bool // err came from ctx: resumable, cleared on next Next
 	suspended bool
 	delivered int
-	state     int
 	closed    bool
 	final     machine.Result // counters captured at Close
 }
-
-// Session states, mirroring core.Solutions.
-const (
-	sessRun  = iota // next step: RunFor (fresh goal or resumed slice)
-	sessRedo        // a solution is out; Redo before the next RunFor
-	sessDone        // exhausted, failed, or faulted
-)
 
 // ErrSessionClosed is returned through Session.Err by operations on a
 // closed session.
@@ -112,43 +104,25 @@ func (s *Session) Next(ctx context.Context) bool {
 		s.err = ErrSessionClosed
 		return false
 	}
-	if s.err != nil {
-		if !s.ctxErr {
-			return false
-		}
-		// A cancellation or deadline stopped RunFor at a stride
-		// boundary with the machine intact; a fresh Next resumes.
-		s.err, s.ctxErr = nil, false
-	}
-	if s.state == sessDone {
+	if s.ended() {
 		return false
 	}
-	if s.state == sessRedo {
-		if err := s.m.Redo(); err != nil {
-			s.err = err
-			s.state = sessDone
-			return false
-		}
-		s.state = sessRun
-	}
+	// A cancellation or deadline stopped RunFor at a stride boundary
+	// with the machine intact; a fresh Next resumes.
+	s.err, s.ctxErr = nil, false
 	st, err := s.m.RunFor(ctx, s.budget)
 	if err != nil {
 		s.err = err
-		if errors.Is(err, machine.ErrCancelled) || errors.Is(err, machine.ErrDeadline) {
-			s.ctxErr = true // session stays resumable
-		} else {
-			s.state = sessDone
-		}
+		s.ctxErr = errors.Is(err, machine.ErrCancelled) || errors.Is(err, machine.ErrDeadline)
 		return false
 	}
 	if st == machine.Suspended {
-		s.suspended = true // state stays sessRun: Next resumes
+		s.suspended = true
 		return false
 	}
 	res := s.m.Result()
 	if !res.Success {
 		s.cur = &core.Solution{Success: false, Result: res}
-		s.state = sessDone
 		return false
 	}
 	s.cur = &core.Solution{
@@ -160,8 +134,14 @@ func (s *Session) Next(ctx context.Context) bool {
 		Result: res,
 	}
 	s.delivered++
-	s.state = sessRedo
 	return true
+}
+
+// ended reports whether the enumeration is over: the last outcome was
+// the final failure, or a fault (not a resumable context error)
+// stopped it.
+func (s *Session) ended() bool {
+	return s.cur != nil && !s.cur.Success || s.err != nil && !s.ctxErr
 }
 
 // Solution returns the outcome of the last Next call that produced

@@ -18,7 +18,7 @@ member(X, [_|T]) :- member(X, T).
 `
 
 // TestSessionEnumeration: a pool session enumerates every solution in
-// clause order through Next/Redo, reports exhaustion, and returns its
+// clause order through Next, reports exhaustion, and returns its
 // machine to the pool on Close.
 func TestSessionEnumeration(t *testing.T) {
 	im := compileImage(t, memberSrc, "member(X, [1,2,3]).")

@@ -45,11 +45,21 @@ var (
 )
 
 // Session-state values carried in the blob's session block. 0 is
-// reserved for "no session" (a bare machine capture).
+// reserved for "no session" (a bare machine capture). The phase is the
+// captured machine's own: a parked machine that halted has a solution
+// out, and its next RunFor backtracks for the one after.
 const (
-	blobSessRun  = 1 // next step: RunFor (fresh or budget-suspended)
-	blobSessRedo = 2 // a solution is out; Redo before the next RunFor
+	blobSessRun  = 1 // machine running: fresh, budget- or ctx-suspended
+	blobSessRedo = 2 // machine halted with a solution out
 )
+
+// blobPhase is the session state a blob of machine state st carries.
+func blobPhase(st *snapshot.State) uint8 {
+	if st.Halted && !st.Failed {
+		return blobSessRedo
+	}
+	return blobSessRun
+}
 
 // Suspend serializes a database session — machine state, enumeration
 // phase, delivered count, budget and the database delta version — into
@@ -62,7 +72,7 @@ func (s *Session) Suspend() ([]byte, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if s.state == sessDone || (s.err != nil && !s.ctxErr) {
+	if s.ended() {
 		return nil, fmt.Errorf("%w: enumeration already ended", ErrNotSuspendable)
 	}
 	s.p.mu.Lock()
@@ -75,12 +85,7 @@ func (s *Session) Suspend() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s.state {
-	case sessRun:
-		st.SessState = blobSessRun
-	case sessRedo:
-		st.SessState = blobSessRedo
-	}
+	st.SessState = blobPhase(st)
 	st.SessDelivered = uint64(s.delivered)
 	st.SessBudget = s.budget
 	// The delta version the machine's code was materialized from,
@@ -115,6 +120,10 @@ func (p *Pool) ResumeDyn(ctx context.Context, db *dyndb.DB, goal term.Term, blob
 	if st.SessState == 0 {
 		return nil, ErrNoSession
 	}
+	if st.SessState != blobPhase(st) {
+		return nil, fmt.Errorf("%w: session state %d disagrees with the machine's halted=%v failed=%v",
+			machine.ErrBadSnapshot, st.SessState, st.Halted, st.Failed)
+	}
 	if st.DeltaVersion == 0 {
 		return nil, fmt.Errorf("%w: snapshot parked from a whole image carries no database delta",
 			machine.ErrImageMismatch)
@@ -148,13 +157,8 @@ func (p *Pool) ResumeDyn(ctx context.Context, db *dyndb.DB, goal term.Term, blob
 	if o.budget == 0 {
 		o.budget = st.SessBudget
 	}
-	state := sessRun
-	if st.SessState == blobSessRedo {
-		state = sessRedo
-	}
 	return &Session{
 		p: p, ip: ip, m: m, im: qim, budget: p.budget(o.budget),
 		delivered: int(st.SessDelivered),
-		state:     state,
 	}, nil
 }

@@ -90,7 +90,7 @@ func neverParked(t *testing.T, db *dyndb.DB, goal term.Term) ([]solutionTrace, m
 
 // resumeMatches resumes blob, parked after `park` solutions, on a
 // DIFFERENT pool (fresh machines — the in-process stand-in for another
-// process) and requires the Redo-driven continuation to deliver the
+// process) and requires the redo-driven continuation to deliver the
 // rest of ref with the same counters, and to finish on refFinal's.
 func resumeMatches(t *testing.T, db *dyndb.DB, goal term.Term, blob []byte, park int, ref []solutionTrace, refFinal machine.Result) {
 	t.Helper()
@@ -252,7 +252,7 @@ func TestSuspendResumeErrors(t *testing.T) {
 	}
 
 	// A bare machine capture (no session block) is not resumable.
-	if _, err := m.Run(mustEntry(t, im)); err != nil {
+	if _, err := runToHalt(m, mustEntry(t, im)); err != nil {
 		t.Fatal(err)
 	}
 	bare, err := m.CaptureBlob()
@@ -336,4 +336,46 @@ func TestParkedBlobGolden(t *testing.T) {
 	db := seedDB(t, nrevSrc+memberSrc)
 	ref, refFinal := neverParked(t, db, goal)
 	resumeMatches(t, db, goal, golden, 1, ref, refFinal)
+}
+
+// TestResumeRefusesPhaseMismatch: a blob's session phase must agree
+// with the machine state it carries. The golden blob was parked after
+// one solution, so its machine halted with success and its session
+// state says a solution is out (2); relabelled as a running session
+// (1) it is refused with machine.ErrBadSnapshot before any machine is
+// leased, and the unmodified blob still resumes.
+func TestResumeRefusesPhaseMismatch(t *testing.T) {
+	ctx := context.Background()
+	goal := parse(t, goldenGoal)
+	golden, err := os.ReadFile(filepath.FromSlash(goldenBlob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshot.Encode(st), golden) {
+		t.Fatal("golden blob does not re-encode to its own bytes")
+	}
+	if st.SessState != 2 || !st.Halted || st.Failed {
+		t.Fatalf("golden blob: session state %d, halted=%v failed=%v; want 2, true, false",
+			st.SessState, st.Halted, st.Failed)
+	}
+	st.SessState = 1
+	mismatched := snapshot.Encode(st)
+
+	db := seedDB(t, nrevSrc+memberSrc)
+	pool := engine.New(engine.WithPoolSize(1))
+	if _, err := pool.ResumeDyn(ctx, db, goal, mismatched); !errors.Is(err, machine.ErrBadSnapshot) {
+		t.Fatalf("phase-mismatched blob: %v, want ErrBadSnapshot", err)
+	}
+	s, err := pool.ResumeDyn(ctx, db, goal, golden)
+	if err != nil {
+		t.Fatalf("unmodified blob: %v", err)
+	}
+	defer s.Close()
+	if !s.Next(ctx) {
+		t.Fatalf("resumed golden blob found no next solution: err=%v", s.Err())
+	}
 }

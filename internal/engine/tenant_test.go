@@ -343,7 +343,7 @@ func TestTenantRace(t *testing.T) {
 				continue
 			}
 			if s.Suspended() {
-				continue // resume next Next: the Redo path under churn
+				continue // resume next Next: the redo path under churn
 			}
 			break
 		}

@@ -16,11 +16,11 @@ import (
 // TestPoolTraceRace is TestPoolRace with observability armed: 8
 // goroutines hammer a pool while, interleaved, each also drives
 // budget-suspended core.Solutions sessions (RunFor slices that suspend
-// and resume, plus Redo between solutions) carrying their own
-// profiler and ring sink. Under -race this is the safety check for the
+// and resume, plus the redo between solutions) carrying their own
+// profiler and recorder sink. Under -race this is the safety check for the
 // tracing layer; the assertions are the conservation law under
 // concurrency — each session's profiler equals its own machine's
-// cycle counter — and that every ring saw events.
+// cycle counter — and that every recorder saw events.
 func TestPoolTraceRace(t *testing.T) {
 	queens, ok := bench.ByName("queens")
 	if !ok {
@@ -87,16 +87,16 @@ func TestPoolTraceRace(t *testing.T) {
 				// Between pooled queries, run a private session that
 				// suspends on a small instruction budget (forcing the
 				// suspend/resume path) and enumerates two solutions
-				// (forcing the Redo path), with its own profiler and
-				// ring buffer attached.
+				// (forcing the redo path), with its own profiler and
+				// recorder attached.
 				sj := jobs[(g+r+1)%len(jobs)]
 				pr := trace.NewProfiler()
-				ring := trace.NewRing(64)
+				rec := trace.NewRecorder(64)
 				it, err := sj.prog.Solutions(sj.query,
 					core.WithBudget(300),
 					core.WithMaxSolutions(2),
 					core.WithTrace(pr),
-					core.WithTrace(ring))
+					core.WithTrace(rec))
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: session: %w", g, r, err)
 					return
@@ -128,8 +128,8 @@ func TestPoolTraceRace(t *testing.T) {
 						g, r, got, cyc)
 					return
 				}
-				if ring.Seen() == 0 {
-					errs <- fmt.Errorf("goroutine %d round %d: session ring saw no events", g, r)
+				if len(rec.Events()) == 0 {
+					errs <- fmt.Errorf("goroutine %d round %d: session recorder saw no events", g, r)
 					return
 				}
 			}

@@ -89,7 +89,7 @@ q(4, 5, 6).
 		t.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	if res, err := m.Run(entry); err != nil || !res.Success {
+	if res, err := runToHalt(m, entry); err != nil || !res.Success {
 		t.Fatalf("warm run: %v %v", err, res.Success)
 	}
 
@@ -166,7 +166,7 @@ p(1).
 
 	run := func(want string) {
 		t.Helper()
-		res, err := m.Run(entry)
+		res, err := runToHalt(m, entry)
 		if err != nil || !res.Success {
 			t.Fatalf("run: %v %v", err, res.Success)
 		}
@@ -208,7 +208,7 @@ p(1).
 	// Two runs: the first fills the predecode table, the second
 	// observes all-hit replays and sets resident flags.
 	for i := 0; i < 2; i++ {
-		if res, err := m.Run(entry); err != nil || !res.Success {
+		if res, err := runToHalt(m, entry); err != nil || !res.Success {
 			t.Fatalf("run %d: %v %v", i, err, res.Success)
 		}
 	}

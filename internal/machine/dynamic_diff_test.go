@@ -78,8 +78,6 @@ member(X, [_|T]) :- member(X, T).
 	},
 }
 
-const diffBudget = 1_000_000_000
-
 // enumerate drives one complete enumeration of the goal loaded at
 // entry and renders every solution's bindings.
 func enumerate(t *testing.T, m *machine.Machine, entry uint32, vars map[term.Var]int) ([]string, machine.Result) {
@@ -87,21 +85,18 @@ func enumerate(t *testing.T, m *machine.Machine, entry uint32, vars map[term.Var
 	var sols []string
 	m.Begin(entry)
 	for {
-		st, err := m.RunFor(context.Background(), diffBudget)
+		st, err := m.RunFor(context.Background(), machine.DefaultBudget)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if st == machine.Suspended {
-			t.Fatalf("suspended on a %d-step budget", int64(diffBudget))
+			t.Fatalf("suspended on a %d-step budget", machine.DefaultBudget)
 		}
 		res := m.Result()
 		if !res.Success {
 			return sols, res
 		}
 		sols = append(sols, renderBindings(m.QueryBindings(vars)))
-		if err := m.Redo(); err != nil {
-			t.Fatalf("redo: %v", err)
-		}
 	}
 }
 
@@ -116,7 +111,7 @@ func renderBindings(b map[term.Var]term.Term) string {
 
 // runStatic compiles the program the classic way and runs the goal
 // twice on one machine: a cold pass to warm caches and predecode,
-// then the measured pass after ResetStats.
+// then the measured pass after Reset.
 func runStatic(t *testing.T, src, goal string) ([]string, machine.Result) {
 	t.Helper()
 	im, err := core.MustLoad(src).CompileQuery(goal)
@@ -132,7 +127,7 @@ func runStatic(t *testing.T, src, goal string) ([]string, machine.Result) {
 		t.Fatal("static image lost its query entry")
 	}
 	enumerate(t, m, entry, im.QueryVars)
-	m.ResetStats()
+	m.Reset()
 	return enumerate(t, m, entry, im.QueryVars)
 }
 
@@ -150,7 +145,7 @@ func enumerateSession(t *testing.T, s *engine.Session) ([]string, machine.Result
 		t.Fatalf("run: %v", err)
 	}
 	if s.Suspended() {
-		t.Fatalf("suspended on a %d-step budget", int64(diffBudget))
+		t.Fatalf("suspended on a %d-step budget", machine.DefaultBudget)
 	}
 	return sols, s.Solution().Result
 }
@@ -188,7 +183,7 @@ func runAsserted(t *testing.T, src, goal string) ([]string, machine.Result) {
 	}
 	pool := engine.New(engine.WithPoolSize(1))
 	lease := func() ([]string, machine.Result) {
-		s, err := pool.BeginGoal(context.Background(), db, g, engine.WithBudget(diffBudget))
+		s, err := pool.BeginGoal(context.Background(), db, g, engine.WithBudget(machine.DefaultBudget))
 		if err != nil {
 			t.Fatalf("lease: %v", err)
 		}

@@ -16,10 +16,10 @@ import (
 // own typed CodeError (see loader.go) — these sentinels cover the
 // run-time faults of an executing machine.
 var (
-	// ErrStepBudget: the run exceeded its instruction budget. The
-	// legacy Run path raises it as a hard fault at Config.MaxSteps; a
-	// resumable session (RunFor) instead reports Suspended and never
-	// raises it.
+	// ErrStepBudget: a query exceeded its instruction budget. The
+	// machine never raises it — RunFor reports Suspended instead — but
+	// hosts that treat a suspension as final (core.Program.Query, the
+	// benchmark harness) wrap it.
 	ErrStepBudget = errors.New("step limit exceeded")
 
 	// ErrCancelled: the context passed to RunFor was cancelled.
@@ -45,14 +45,6 @@ var (
 	// ErrArithmetic: an is/2 or comparison escape saw an unbound or
 	// non-numeric operand, or divided by zero.
 	ErrArithmetic = errors.New("arithmetic error")
-
-	// ErrExhausted: Redo was called on a machine whose search space is
-	// already exhausted (it halted with failure).
-	ErrExhausted = errors.New("no more solutions")
-
-	// ErrNotResumable: a session operation (Redo) was applied to a
-	// machine that is not in a resumable state.
-	ErrNotResumable = errors.New("machine is not resumable")
 )
 
 // classifyTrap wraps a memory-management trap with the taxonomy

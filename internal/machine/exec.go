@@ -8,22 +8,10 @@ import (
 	"repro/internal/word"
 )
 
-// Run boots the machine and executes from the given entry address
-// until Halt, HaltFail, a trap, or the step bound. Exceeding
-// Config.MaxSteps is a hard fault on this legacy path (wrapping
-// ErrStepBudget); Begin/RunFor is the resumable alternative.
-func (m *Machine) Run(entry uint32) (Result, error) {
-	m.bootstrap(entry)
-	if m.steps(m.cfg.MaxSteps) >= m.cfg.MaxSteps && !m.halted && m.err == nil {
-		m.errw(ErrStepBudget, "%d steps", m.cfg.MaxSteps)
-	}
-	return m.result(), m.err
-}
-
 // steps is the fetch-execute loop: it executes at most limit
 // instructions, stopping early on halt or machine fault, and returns
-// the number executed. It is the hot path shared by Run and RunFor —
-// no allocation, no clock reads, no context polls happen here.
+// the number executed. It is RunFor's hot path — no allocation, no
+// clock reads, no context polls happen here.
 //
 // The loop dispatches through the predecoded code cache (see
 // predecode.go): on a predecode hit it replays the instruction's
@@ -92,20 +80,6 @@ func (m *Machine) steps(limit uint64) uint64 {
 		}
 	}
 	return steps
-}
-
-// result snapshots the run outcome: the counters the evaluation
-// section reports plus the memory-system statistics.
-func (m *Machine) result() Result {
-	return Result{
-		Success: m.halted && !m.failed,
-		Stats:   m.stats,
-		DCache:  m.dcache.Stats(),
-		CCache:  m.icache.Stats(),
-		Mem:     m.phys.Stats(),
-		DataMMU: m.dmmu.Stats(),
-		GC:      m.gcStats,
-	}
 }
 
 func (m *Machine) bootstrap(entry uint32) {

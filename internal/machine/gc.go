@@ -138,6 +138,3 @@ func (m *Machine) poke(z word.Zone, a uint32, w word.Word) {
 		m.err = err
 	}
 }
-
-// GCStats returns the collector counters.
-func (m *Machine) GCStats() GCStats { return m.gcStats }

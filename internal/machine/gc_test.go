@@ -27,7 +27,7 @@ func TestGCCollectsGarbage(t *testing.T) {
 	if !res.Success {
 		t.Fatal("query failed under GC")
 	}
-	gs := m.GCStats()
+	gs := m.Result().GC
 	if gs.Collections == 0 {
 		t.Fatal("threshold never triggered a collection")
 	}
@@ -94,7 +94,7 @@ probe(N) :- mklist(N, L), pick(X, L), nrev(L, R), pick(X, R), X < 3, !.
 	if !res.Success {
 		t.Fatal("probe failed under GC")
 	}
-	if m.GCStats().Collections == 0 {
+	if m.Result().GC.Collections == 0 {
 		t.Skip("no collection triggered; enlarge the workload")
 	}
 }
@@ -117,7 +117,7 @@ mk(N, [N, N, N, N]).
 	if err != nil || !res.Success {
 		t.Fatalf("with GC: %v %v", err, res.Success)
 	}
-	if m.GCStats().Collections == 0 {
+	if m.Result().GC.Collections == 0 {
 		t.Fatal("GC never ran")
 	}
 }
@@ -146,7 +146,7 @@ sum([H|T], S) :- sum(T, S1), S is S1 + H.
 	if sb.String() != sg.String() {
 		t.Fatalf("sum differs: %v vs %v", sb, sg)
 	}
-	if gcm.GCStats().Collections == 0 {
+	if gcm.Result().GC.Collections == 0 {
 		t.Skip("workload too small to trigger GC")
 	}
 }

@@ -80,7 +80,7 @@ double(L, D) :- app(L, L, D).
 	if !ok {
 		t.Fatal("no query entry in the loaded unit")
 	}
-	res, err := m.Run(entry)
+	res, err := runToHalt(m, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestLoadSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry, _ := im3.Entry(compiler.QueryPI)
-	res, err := m.Run(entry)
+	res, err := runToHalt(m, entry)
 	if err != nil || !res.Success {
 		t.Fatalf("run: %v %v", err, res.Success)
 	}

@@ -67,9 +67,6 @@ type Config struct {
 	// Out receives the output of write/1 and nl/0.
 	Out io.Writer
 
-	// MaxSteps bounds execution (0: 1e9 instructions).
-	MaxSteps uint64
-
 	// CycleNs is the cycle time in nanoseconds (0: the KCM's 80 ns).
 	// Baseline cost models reuse the engine with their own clock.
 	CycleNs float64
@@ -166,16 +163,15 @@ func (s Stats) Klips() float64 {
 	return float64(s.Inferences) / sec / 1000
 }
 
-// Result is the outcome of a Run.
+// Result is a machine's outcome and counters (Machine.Result).
 type Result struct {
-	Success  bool
-	Stats    Stats
-	Bindings map[term.Var]term.Term
-	DCache   cache.Stats
-	CCache   cache.Stats
-	Mem      mem.Stats
-	DataMMU  mmu.Stats
-	GC       GCStats
+	Success bool
+	Stats   Stats
+	DCache  cache.Stats
+	CCache  cache.Stats
+	Mem     mem.Stats
+	DataMMU mmu.Stats
+	GC      GCStats
 }
 
 // Machine is one KCM processor with its private memory.
@@ -312,9 +308,6 @@ func New(im *asm.Image, cfg Config) (*Machine, error) {
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
 	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 1_000_000_000
-	}
 	costs := Defaults
 	if cfg.Costs != nil {
 		costs = *cfg.Costs
@@ -406,9 +399,6 @@ func (m *Machine) installZones() {
 
 // Syms exposes the symbol table (for output formatting in tools).
 func (m *Machine) Syms() *term.SymTab { return m.syms }
-
-// Stats returns the counters accumulated so far.
-func (m *Machine) Stats() Stats { return m.stats }
 
 // ---- data-space access paths ----
 
@@ -527,36 +517,27 @@ func (m *Machine) errw(sentinel error, format string, args ...any) {
 	}
 }
 
-// ResetStats clears every run-time counter while keeping the memory
-// system warm (cache and page-table contents survive). The benchmark
-// harness uses it to reproduce the paper's best-of-several-runs
-// protocol: time a second execution with warm caches.
-func (m *Machine) ResetStats() {
+// Reset returns a warm machine to a fresh-query state: every run-time
+// counter, the GC history and any pending fault are cleared, while the
+// memory system stays warm — cache lines, page tables and the
+// predecoded code survive. The engine pool calls it between queries,
+// and the benchmark harness between the paper's warm-up and timed runs
+// (its best-of-several-runs protocol); the next Begin rebuilds the
+// whole register state, so nothing else needs to be restored.
+func (m *Machine) Reset() {
 	m.stats = Stats{}
 	m.dcache.ResetStats()
 	m.icache.ResetStats()
 	m.phys.ResetStats()
 	m.dmmu.ResetStats()
 	m.cmmu.ResetStats()
-	m.halted = false
-	m.failed = false
+	m.gcStats = GCStats{}
+	m.halted, m.failed, m.err = false, false, nil
 	if m.hook != nil {
 		// Every counter the events attribute against was cleared, so
 		// stateful consumers (the cycle profiler) clear with it.
 		m.emit(trace.Event{Kind: trace.KReset, P: m.p})
 	}
-}
-
-// Reset returns a warm machine to a fresh-query state: counters
-// cleared (ResetStats semantics, so the memory system stays warm —
-// cache lines, page tables and the predecoded code survive) plus any
-// pending fault and GC history discarded. The engine pool calls it
-// between queries; the next Begin/Run rebuilds the whole register
-// state, so nothing else needs to be restored.
-func (m *Machine) Reset() {
-	m.ResetStats()
-	m.err = nil
-	m.gcStats = GCStats{}
 }
 
 // Err returns the machine's pending fault, or nil. A non-nil fault

@@ -36,6 +36,13 @@ func buildImage(t *testing.T, src, query string) *asm.Image {
 	return im
 }
 
+// runToHalt boots m at entry and runs it to halt or fault.
+func runToHalt(m *Machine, entry uint32) (Result, error) {
+	m.Begin(entry)
+	_, err := m.RunFor(nil, 0)
+	return m.Result(), err
+}
+
 func run(t *testing.T, src, query string, cfg Config) (*Machine, Result, error) {
 	t.Helper()
 	im := buildImage(t, src, query)
@@ -44,7 +51,7 @@ func run(t *testing.T, src, query string, cfg Config) (*Machine, Result, error) 
 		t.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	res, err := m.Run(entry)
+	res, err := runToHalt(m, entry)
 	return m, res, err
 }
 
@@ -77,10 +84,18 @@ func TestChoiceOverflowTraps(t *testing.T) {
 }
 
 func TestStepLimit(t *testing.T) {
-	src := "spin :- spin.\n"
-	_, _, err := run(t, src, "spin.", Config{MaxSteps: 1000})
-	if err == nil || !strings.Contains(err.Error(), "step limit") {
-		t.Fatalf("want step-limit error, got %v", err)
+	im := buildImage(t, "spin :- spin.\n", "spin.")
+	m, err := New(im, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := im.Entry(compiler.QueryPI)
+	m.Begin(entry)
+	if st, err := m.RunFor(nil, 1000); err != nil || st != Suspended {
+		t.Fatalf("spin: %v %v, want Suspended", st, err)
+	}
+	if n := m.Result().Stats.Instrs; n != 1000 {
+		t.Fatalf("suspended after %d instructions, want 1000", n)
 	}
 }
 
@@ -174,27 +189,27 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsCachesWarm(t *testing.T) {
+func TestResetKeepsCachesWarm(t *testing.T) {
 	im := buildImage(t, loopSrc, "loop(200).")
 	m, err := New(im, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	if _, err := m.Run(entry); err != nil {
+	cold, err := runToHalt(m, entry)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cold := m.Stats().Cycles
-	m.ResetStats()
-	res, err := m.Run(entry)
+	m.Reset()
+	res, err := runToHalt(m, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Success {
 		t.Fatal("warm run failed")
 	}
-	if res.Stats.Cycles >= cold {
-		t.Errorf("warm run (%d cycles) not faster than cold (%d)", res.Stats.Cycles, cold)
+	if res.Stats.Cycles >= cold.Stats.Cycles {
+		t.Errorf("warm run (%d cycles) not faster than cold (%d)", res.Stats.Cycles, cold.Stats.Cycles)
 	}
 	if res.CCache.ReadMiss != 0 {
 		t.Errorf("warm run still missed code cache %d times", res.CCache.ReadMiss)

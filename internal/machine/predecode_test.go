@@ -118,7 +118,7 @@ r5(X) :- r1(X). r6(X) :- r2(X).
 				t.Fatal(err)
 			}
 			entry, _ := im.Entry(compiler.QueryPI)
-			res, err := m.Run(entry)
+			res, err := runToHalt(m, entry)
 			if err != nil || !res.Success {
 				t.Fatalf("base run: %v %v", err, res.Success)
 			}
@@ -168,8 +168,8 @@ r5(X) :- r1(X). r6(X) :- r2(X).
 			if !ok {
 				t.Fatal("no query entry in replacement unit")
 			}
-			m.ResetStats() // second run on the same machine
-			res2, err := m.Run(entry2)
+			m.Reset() // second run on the same machine
+			res2, err := runToHalt(m, entry2)
 			if err != nil || !res2.Success {
 				t.Fatalf("replacement run: %v %v", err, res2.Success)
 			}

@@ -27,7 +27,7 @@ mklist(N, [N|T]) :- N > 0, M is N - 1, mklist(M, T).
 		t.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	res, err := m.Run(entry)
+	res, err := runToHalt(m, entry)
 	if err != nil || !res.Success {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/trace"
@@ -12,18 +11,17 @@ import (
 // the paper is a back-end processor driven by a host that dispatches
 // goals and consumes streams of solutions, so execution must be a
 // first-class, interruptible object rather than a run-to-halt loop.
-// A session is
+// Begin and RunFor are the only way to run a machine:
 //
 //	m.Begin(entry)                  // boot, no instruction executed
 //	st, err := m.RunFor(ctx, n)     // a bounded slice of execution
-//	...                             // Suspended: call RunFor again
-//	m.Redo()                        // force backtracking for the next
-//	                                // solution, then RunFor again
+//	...                             // Suspended: call RunFor again to
+//	                                // continue; Halted with success:
+//	                                // call RunFor again to backtrack
+//	                                // into the next solution
 //
-// The legacy Run(entry) keeps its semantics (run to halt, hard
-// ErrStepBudget fault at Config.MaxSteps) and shares the same hot
-// loop, so the two paths produce byte-identical cycle counts and
-// cache statistics for a given query.
+// The enumeration phase lives in the machine's halted and failed
+// flags alone, which every snapshot carries.
 
 // Status reports how a RunFor slice ended.
 type Status int
@@ -32,8 +30,8 @@ const (
 	// Suspended: the step budget ran out before the machine halted.
 	// The machine state is intact; call RunFor again to continue.
 	Suspended Status = iota + 1
-	// Halted: the machine executed halt or halt_fail. Succeeded
-	// distinguishes the two.
+	// Halted: the machine executed halt or halt_fail;
+	// Result().Success distinguishes the two.
 	Halted
 )
 
@@ -55,27 +53,39 @@ func (s Status) String() string {
 // instruction.
 const CheckStride = 4096
 
+// DefaultBudget is the step budget a host gives each RunFor slice when
+// it sets none.
+const DefaultBudget = 1_000_000_000
+
 // Begin boots the machine at entry without executing an instruction,
 // arming a resumable session. Counters are NOT cleared — pair with
-// Reset (or ResetStats) when a warm machine starts a fresh query.
+// Reset when a warm machine starts a fresh query.
 func (m *Machine) Begin(entry uint32) {
 	m.bootstrap(entry)
 }
 
 // RunFor executes up to budget instructions (0 = unbounded) of the
-// current session, polling ctx every CheckStride steps. It returns
+// current session, polling ctx every CheckStride steps. On a machine
+// that halted with a solution it first backtracks into the topmost
+// choice point (redo), so successive calls enumerate the solutions.
+// It returns
 //
-//   - (Halted, nil) when the machine executed halt or halt_fail;
+//   - (Halted, nil) when the machine executed halt or halt_fail, and
+//     again, without running, on every call after halt_fail: the
+//     enumeration is exhausted;
 //   - (Suspended, nil) when the budget ran out first — the session
 //     is intact and RunFor may be called again to continue;
-//   - (0, err) on a machine fault (err wraps the taxonomy sentinel)
-//     or on context cancellation (err wraps ErrCancelled or
-//     ErrDeadline; the machine itself is left fault-free, so a pooled
-//     machine can be Reset and reused).
+//   - (0, err) on a machine fault (err wraps the taxonomy sentinel,
+//     and every later call returns it again) or on context
+//     cancellation (err wraps ErrCancelled or ErrDeadline; the machine
+//     itself is left fault-free, so a pooled machine can be Reset and
+//     reused).
 //
-// Unlike the legacy Run, exhausting the budget is a resumable state,
-// never an ErrStepBudget fault.
+// Exhausting the budget is a resumable state, never a fault.
 func (m *Machine) RunFor(ctx context.Context, budget uint64) (Status, error) {
+	if m.halted && !m.failed && m.err == nil {
+		m.redo()
+	}
 	if budget == 0 {
 		budget = math.MaxUint64
 	}
@@ -112,50 +122,35 @@ func (m *Machine) RunFor(ctx context.Context, budget uint64) (Status, error) {
 	return Suspended, nil
 }
 
-// Redo forces a failure into the topmost choice point of a machine
-// that halted with success, so the next RunFor slice backtracks into
+// redo forces a failure into the topmost choice point of a machine
+// that halted with success, so the slice that follows backtracks into
 // the remaining alternatives and searches for the next solution. When
-// no alternatives remain the resumed run reaches the bottom choice
-// point, whose saved continuation is the halt_fail word at code
-// address 0, and halts with failure — the enumeration is exhausted.
-//
-// It returns an error wrapping ErrNotResumable if the machine is
-// still running or faulted (a faulted machine's error also stays in
-// the chain, so both sentinels match with errors.Is), and ErrExhausted
-// if it already halted with failure. Every non-nil return leaves the
-// machine untouched: calling Redo again after ErrExhausted keeps
-// returning ErrExhausted and never re-runs the query.
-func (m *Machine) Redo() error {
-	switch {
-	case m.err != nil:
-		return fmt.Errorf("%w: machine faulted: %w", ErrNotResumable, m.err)
-	case !m.halted:
-		return ErrNotResumable
-	case m.failed:
-		return ErrExhausted
-	}
+// no alternatives remain the search reaches the bottom choice point,
+// whose saved continuation is the halt_fail word at code address 0,
+// and halts with failure — the enumeration is exhausted.
+func (m *Machine) redo() {
 	m.halted = false
-	if m.hook != nil {
-		before := m.stats.Cycles
-		// Dispatch through the normal failure path: a still-pending
-		// shallow try resumes at its shadow alternative, anything else
-		// restores the top choice point.
-		m.fail()
-		m.emit(trace.Event{Kind: trace.KRedo, P: m.p, Cycles: m.stats.Cycles - before})
-		return m.err
-	}
+	before := m.stats.Cycles
+	// Dispatch through the normal failure path: a still-pending shallow
+	// try resumes at its shadow alternative, anything else restores the
+	// top choice point.
 	m.fail()
-	return m.err
+	if m.hook != nil {
+		m.emit(trace.Event{Kind: trace.KRedo, P: m.p, Cycles: m.stats.Cycles - before})
+	}
 }
 
-// Halted reports whether the machine has executed halt or halt_fail.
-func (m *Machine) Halted() bool { return m.halted }
-
-// Succeeded reports whether the machine halted in success (halt, not
-// halt_fail).
-func (m *Machine) Succeeded() bool { return m.halted && !m.failed }
-
-// Result snapshots the current counters and memory-system statistics
-// without ending the session; for a halted machine it is exactly what
-// Run would have returned.
-func (m *Machine) Result() Result { return m.result() }
+// Result snapshots the outcome so far without ending the session: the
+// counters the evaluation section reports plus the memory-system
+// statistics.
+func (m *Machine) Result() Result {
+	return Result{
+		Success: m.halted && !m.failed,
+		Stats:   m.stats,
+		DCache:  m.dcache.Stats(),
+		CCache:  m.icache.Stats(),
+		Mem:     m.phys.Stats(),
+		DataMMU: m.dmmu.Stats(),
+		GC:      m.gcStats,
+	}
+}

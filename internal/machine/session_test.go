@@ -22,10 +22,10 @@ nrev([], []).
 nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
 `
 
-// TestRunForParity is the tentpole guarantee: a query driven through
-// the resumable session in tiny budget slices produces byte-identical
-// counters — simulated cycles, every Stats field, both cache-stat
-// blocks — to the same query on the legacy run-to-halt path.
+// TestRunForParity: a query driven through the resumable session in
+// tiny budget slices produces byte-identical counters — simulated
+// cycles, every Stats field, both cache-stat blocks — to the same
+// query run to halt in one unbounded slice.
 func TestRunForParity(t *testing.T) {
 	src, query := nrevTestSrc, "nrev([1,2,3,4,5,6,7,8,9,10], R)."
 	im := buildImage(t, src, query)
@@ -35,7 +35,7 @@ func TestRunForParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := m1.Run(entry)
+	direct, err := runToHalt(m1, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestRunForParity(t *testing.T) {
 }
 
 // TestRedoEnumeration drives redo-based solution enumeration at the
-// machine level: each Redo forces a failure into the topmost choice
-// point, and the resumed run either finds the next solution or
-// reaches the bottom choice point's halt_fail.
+// machine level: each RunFor after a solution forces a failure into
+// the topmost choice point, and the resumed run either finds the next
+// solution or reaches the bottom choice point's halt_fail.
 func TestRedoEnumeration(t *testing.T) {
 	im := buildImage(t, memberSrc, "member(X, [1,2,3]).")
 	entry, _ := im.Entry(compiler.QueryPI)
@@ -102,13 +102,10 @@ func TestRedoEnumeration(t *testing.T) {
 		if st != Halted {
 			t.Fatalf("status %v", st)
 		}
-		if !m.Succeeded() {
+		if !m.Result().Success {
 			break
 		}
 		got = append(got, m.QueryBindings(im.QueryVars)[term.Var("X")].String())
-		if err := m.Redo(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	want := []string{"1", "2", "3"}
 	if len(got) != len(want) {
@@ -119,22 +116,8 @@ func TestRedoEnumeration(t *testing.T) {
 			t.Fatalf("solutions %v, want %v", got, want)
 		}
 	}
-	if err := m.Redo(); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("redo after exhaustion: %v, want ErrExhausted", err)
-	}
-}
-
-// TestRedoNotResumable: Redo on a machine that has not halted.
-func TestRedoNotResumable(t *testing.T) {
-	im := buildImage(t, memberSrc, "member(X, [1,2,3]).")
-	entry, _ := im.Entry(compiler.QueryPI)
-	m, err := New(im, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Begin(entry)
-	if err := m.Redo(); !errors.Is(err, ErrNotResumable) {
-		t.Fatalf("redo before halt: %v, want ErrNotResumable", err)
+	if st, err := m.RunFor(nil, 0); err != nil || st != Halted || m.Result().Success {
+		t.Fatalf("RunFor after exhaustion: %v %v, want Halted without success", st, err)
 	}
 }
 
@@ -190,14 +173,9 @@ func TestRunForDeadline(t *testing.T) {
 // TestErrorTaxonomy pins the errors.Is classification of the typed
 // machine faults.
 func TestErrorTaxonomy(t *testing.T) {
-	// Step budget on the legacy path.
-	_, _, err := run(t, "spin :- spin.\n", "spin.", Config{MaxSteps: 1000})
-	if !errors.Is(err, ErrStepBudget) {
-		t.Errorf("step limit: %v, want ErrStepBudget", err)
-	}
 	// Heap overflow: a tiny global zone.
 	src := "grow(0, []).\ngrow(N, [N|T]) :- N > 0, M is N - 1, grow(M, T).\n"
-	_, _, err = run(t, src, "grow(100000, _).", Config{
+	_, _, err := run(t, src, "grow(100000, _).", Config{
 		GlobalBase: 0x10000, GlobalSize: 0x1000, GCOnOverflow: Off,
 	})
 	if !errors.Is(err, ErrHeapOverflow) {
@@ -232,7 +210,7 @@ func TestSuspendedResumeSameBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(entry); err != nil {
+	if _, err := runToHalt(m, entry); err != nil {
 		t.Fatal(err)
 	}
 	want := m.QueryBindings(im.QueryVars)[term.Var("R")].String()
@@ -260,10 +238,9 @@ func TestSuspendedResumeSameBindings(t *testing.T) {
 
 // TestRedoExhaustedIdempotent is the regression test for the
 // exhaustion contract: once the enumeration is exhausted, every
-// further Redo returns ErrExhausted without executing a single
+// further RunFor reports Halted without executing a single
 // instruction or disturbing any counter (an earlier version fell
-// through into the failure path and re-ran the query), and RunFor on
-// the exhausted machine reports Halted immediately.
+// through into the failure path and re-ran the query).
 func TestRedoExhaustedIdempotent(t *testing.T) {
 	im := buildImage(t, memberSrc, "member(X, [1,2,3]).")
 	entry, _ := im.Entry(compiler.QueryPI)
@@ -281,13 +258,10 @@ func TestRedoExhaustedIdempotent(t *testing.T) {
 		if st != Halted {
 			t.Fatalf("status %v", st)
 		}
-		if !m.Succeeded() {
+		if !m.Result().Success {
 			break
 		}
 		sols++
-		if err := m.Redo(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if sols != 3 {
 		t.Fatalf("enumerated %d solutions, want 3", sols)
@@ -295,12 +269,9 @@ func TestRedoExhaustedIdempotent(t *testing.T) {
 
 	before := m.Result()
 	for i := 0; i < 3; i++ {
-		if err := m.Redo(); !errors.Is(err, ErrExhausted) {
-			t.Fatalf("redo %d after exhaustion: %v, want ErrExhausted", i+1, err)
+		if st, err := m.RunFor(nil, 0); err != nil || st != Halted {
+			t.Fatalf("RunFor %d after exhaustion: %v %v, want Halted", i+1, st, err)
 		}
-	}
-	if st, err := m.RunFor(nil, 0); err != nil || st != Halted {
-		t.Fatalf("RunFor after exhaustion: %v %v, want Halted", st, err)
 	}
 	after := m.Result()
 	if before.Stats != after.Stats {
@@ -312,28 +283,29 @@ func TestRedoExhaustedIdempotent(t *testing.T) {
 	}
 }
 
-// TestRedoFaultedKeepsCause: Redo on a faulted machine refuses with
-// ErrNotResumable while keeping the original fault in the error chain,
-// and repeating the call changes nothing.
+// TestRedoFaultedKeepsCause: RunFor on a faulted machine returns the
+// original fault again, and repeating the call changes nothing.
 func TestRedoFaultedKeepsCause(t *testing.T) {
-	im := buildImage(t, "spin :- spin.\n", "spin.")
+	src := "grow(0, []).\ngrow(N, [N|T]) :- N > 0, M is N - 1, grow(M, T).\n"
+	im := buildImage(t, src, "grow(100000, _).")
 	entry, _ := im.Entry(compiler.QueryPI)
-	m, err := New(im, Config{MaxSteps: 1000})
+	m, err := New(im, Config{GlobalBase: 0x10000, GlobalSize: 0x1000, GCOnOverflow: Off})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(entry); !errors.Is(err, ErrStepBudget) {
-		t.Fatalf("spin run: %v, want ErrStepBudget", err)
+	if _, err := runToHalt(m, entry); !errors.Is(err, ErrHeapOverflow) {
+		t.Fatalf("grow run: %v, want ErrHeapOverflow", err)
 	}
-	first := m.Redo()
-	if !errors.Is(first, ErrNotResumable) {
-		t.Fatalf("redo on faulted machine: %v, want ErrNotResumable", first)
+	before := m.Result()
+	_, first := m.RunFor(nil, 0)
+	if !errors.Is(first, ErrHeapOverflow) {
+		t.Fatalf("RunFor on faulted machine: %v, want the fault", first)
 	}
-	if !errors.Is(first, ErrStepBudget) {
-		t.Fatalf("fault cause dropped from the chain: %v", first)
-	}
-	second := m.Redo()
+	_, second := m.RunFor(nil, 0)
 	if second == nil || second.Error() != first.Error() {
-		t.Fatalf("second redo differs: %v vs %v", second, first)
+		t.Fatalf("second RunFor differs: %v vs %v", second, first)
+	}
+	if after := m.Result(); after.Stats != before.Stats {
+		t.Fatalf("faulted machine executed work:\nbefore %+v\nafter  %+v", before.Stats, after.Stats)
 	}
 }

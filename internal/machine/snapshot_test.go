@@ -78,7 +78,7 @@ func TestSnapshotContinuationIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Run(entry); err != nil {
+	if _, err := runToHalt(ref, entry); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Result()
@@ -104,7 +104,7 @@ func TestSnapshotContinuationIdentical(t *testing.T) {
 		}
 		// Dirty the target first so the restore must actually replace
 		// state, not ride on fresh-machine zeroes.
-		if _, err := dst.Run(entry); err != nil {
+		if _, err := runToHalt(dst, entry); err != nil {
 			t.Fatal(err)
 		}
 		dst.Reset()
@@ -125,25 +125,17 @@ func TestSnapshotContinuationIdentical(t *testing.T) {
 }
 
 // TestSnapshotRedoEnumeration suspends between solutions (after a
-// Redo-driven solution is out) and checks the restored machine
-// enumerates the identical remaining solutions.
+// solution is out, before the redo that the next RunFor performs) and
+// checks the restored machine enumerates the identical remaining
+// solutions.
 func TestSnapshotRedoEnumeration(t *testing.T) {
 	im := buildImage(t, memberSrc, "member(X, [1,2,3,4,5]).")
 	entry, _ := im.Entry(compiler.QueryPI)
 
-	enumerate := func(m *Machine, first bool) []string {
+	enumerate := func(m *Machine) []string {
 		t.Helper()
 		var got []string
 		for {
-			if !first {
-				if err := m.Redo(); err != nil {
-					if errors.Is(err, ErrExhausted) {
-						return got
-					}
-					t.Fatal(err)
-				}
-			}
-			first = false
 			st, err := m.RunFor(nil, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -151,7 +143,7 @@ func TestSnapshotRedoEnumeration(t *testing.T) {
 			if st != Halted {
 				t.Fatalf("status %v", st)
 			}
-			if !m.Succeeded() {
+			if !m.Result().Success {
 				return got
 			}
 			got = append(got, m.QueryBindings(im.QueryVars)[term.Var("X")].String())
@@ -165,12 +157,7 @@ func TestSnapshotRedoEnumeration(t *testing.T) {
 	}
 	src.Begin(entry)
 	for i := 0; i < 2; i++ {
-		if i > 0 {
-			if err := src.Redo(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st, err := src.RunFor(nil, 0); err != nil || st != Halted || !src.Succeeded() {
+		if st, err := src.RunFor(nil, 0); err != nil || st != Halted || !src.Result().Success {
 			t.Fatalf("solution %d: %v %v", i, st, err)
 		}
 	}
@@ -189,8 +176,8 @@ func TestSnapshotRedoEnumeration(t *testing.T) {
 	// The restored machine sits where the source did: solution 2 just
 	// delivered. Redo-driven enumeration must yield exactly 3, 4, 5 —
 	// and the source machine, continued in this process, must agree.
-	wantRest := enumerate(src, false)
-	gotRest := enumerate(dst, false)
+	wantRest := enumerate(src)
+	gotRest := enumerate(dst)
 	if len(wantRest) != 3 || !reflect.DeepEqual(gotRest, wantRest) {
 		t.Fatalf("restored enumeration %v, source continuation %v", gotRest, wantRest)
 	}
@@ -214,7 +201,7 @@ func TestSnapshotUnderTinyHeapGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Run(entry); err != nil {
+	if _, err := runToHalt(ref, entry); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Result()
@@ -340,19 +327,19 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 
 	// A refused target still runs.
 	entry2, _ := im2.Entry(compiler.QueryPI)
-	if _, err := other.Run(entry2); err != nil || !other.Succeeded() {
+	if res, err := runToHalt(other, entry2); err != nil || !res.Success {
 		t.Fatalf("target unusable after refused restore: %v", err)
 	}
 
 	// A faulted machine refuses capture.
-	spin := buildImage(t, "spin :- spin.\n", "spin.")
-	se, _ := spin.Entry(compiler.QueryPI)
-	fm, err := New(spin, Config{MaxSteps: 100})
+	grow := buildImage(t, "grow(0, []).\ngrow(N, [N|T]) :- N > 0, M is N - 1, grow(M, T).\n", "grow(100000, _).")
+	ge, _ := grow.Entry(compiler.QueryPI)
+	fm, err := New(grow, Config{GlobalBase: 0x10000, GlobalSize: 0x1000, GCOnOverflow: Off})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.Run(se); err == nil {
-		t.Fatal("spin did not fault")
+	if _, err := runToHalt(fm, ge); err == nil {
+		t.Fatal("grow did not fault")
 	}
 	if _, err := fm.Capture(); !errors.Is(err, ErrNotCapturable) {
 		t.Fatalf("capture of faulted machine: %v, want ErrNotCapturable", err)
@@ -380,11 +367,11 @@ func TestResetClearsRegisterRoots(t *testing.T) {
 	entry, _ := imProbe.Entry(compiler.QueryPI)
 	// Dirty it: run the probe once (leaves heap pointers in the arg
 	// registers and a populated heap), then Reset and run it again.
-	if _, err := reused.Run(entry); err != nil {
+	if _, err := runToHalt(reused, entry); err != nil {
 		t.Fatal(err)
 	}
 	reused.Reset()
-	if _, err := reused.Run(entry); err != nil {
+	if _, err := runToHalt(reused, entry); err != nil {
 		t.Fatal(err)
 	}
 	second := reused.Result()
@@ -393,7 +380,7 @@ func TestResetClearsRegisterRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Run(entry); err != nil {
+	if _, err := runToHalt(fresh, entry); err != nil {
 		t.Fatal(err)
 	}
 	first := fresh.Result()
@@ -484,7 +471,7 @@ func FuzzRestoreBlob(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := ref.Run(entry); err != nil {
+	if _, err := runToHalt(ref, entry); err != nil {
 		f.Fatal(err)
 	}
 	want := ref.QueryBindings(im.QueryVars)[term.Var("R")].String()
@@ -510,7 +497,7 @@ func FuzzRestoreBlob(f *testing.F) {
 		// Success or typed rejection — either way the machine must
 		// still run the query correctly from a clean boot.
 		target.Reset()
-		if _, err := target.Run(entry); err != nil {
+		if _, err := runToHalt(target, entry); err != nil {
 			t.Fatalf("target corrupted (run): %v", err)
 		}
 		if got := target.QueryBindings(im.QueryVars)[term.Var("R")].String(); got != want {

@@ -224,12 +224,11 @@ func (s *Server) resolveProgram(program string) (string, *dynProg, error) {
 // clampBudget applies the request -> default -> max budget policy. The
 // max is the machine's own default step bound.
 func (s *Server) clampBudget(req uint64) uint64 {
-	const maxBudget = 1_000_000_000
 	b := req
 	if b == 0 {
 		b = s.cfg.DefaultBudget
 	}
-	return min(b, maxBudget)
+	return min(b, machine.DefaultBudget)
 }
 
 // runCtx derives the execution context for one request slice.

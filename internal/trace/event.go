@@ -1,9 +1,8 @@
 // Package trace is the observability layer of the KCM simulator, and
 // the only way to observe a running machine: a structured event
 // stream emitted by the machine's step loop and memory system, and
-// the consumers built on it — ring buffers, first-N recorders,
-// streaming text and JSONL sinks, and the per-predicate cycle
-// profiler.
+// the consumers built on it — first-N recorders, streaming text and
+// JSONL sinks, and the per-predicate cycle profiler.
 //
 // The design constraint, inherited from the paper's hardware
 // monitors, is that observation must not perturb the measurement:
@@ -66,12 +65,13 @@ const (
 	// KMMUPage is a demand-allocated page: Addr is the virtual
 	// address whose page was mapped.
 	KMMUPage
-	// KBoot marks a session boot (Begin or Run): P is the entry
+	// KBoot marks a session boot (Machine.Begin): P is the entry
 	// address, Addr the bottom choice point, Cycles the bootstrap
 	// cost (the bottom choice-point save).
 	KBoot
-	// KRedo is a host-forced backtrack (Machine.Redo): P is the
-	// resumption address, Cycles the cost of the forced failure.
+	// KRedo is a host-forced backtrack (a RunFor slice continuing
+	// after a solution): P is the resumption address, Cycles the cost
+	// of the forced failure.
 	KRedo
 	// KFault is a machine fault detected during instruction fetch;
 	// Cycles is the cost charged before the fault stopped the step.
@@ -82,7 +82,7 @@ const (
 	// KResume marks a RunFor slice starting; P is the next
 	// instruction. The first slice after Begin also emits it.
 	KResume
-	// KReset marks ResetStats: every simulated counter was cleared,
+	// KReset marks Machine.Reset: every simulated counter was cleared,
 	// so stateful consumers (the profiler) clear with it.
 	KReset
 	// KHalt marks halt or halt_fail; Arg is 1 for halt_fail.

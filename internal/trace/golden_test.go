@@ -105,9 +105,16 @@ func runHooked(t *testing.T, prog string, h trace.Hook) {
 	if !ok {
 		t.Fatalf("%s: no query entry", prog)
 	}
-	if _, err := m.Run(entry); err != nil {
+	if _, err := runToHalt(m, entry); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runToHalt boots m at entry and runs it to halt or fault.
+func runToHalt(m *machine.Machine, entry uint32) (machine.Result, error) {
+	m.Begin(entry)
+	_, err := m.RunFor(nil, 0)
+	return m.Result(), err
 }
 
 // TestTextMatchesRecorder: the streaming text sink behind kcm -trace
@@ -163,7 +170,7 @@ func TestGoldenSeqContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry, _ := im.Entry(compiler.QueryPI)
-	if _, err := m.Run(entry); err != nil {
+	if _, err := runToHalt(m, entry); err != nil {
 		t.Fatal(err)
 	}
 	for i, ev := range rec.Events() {

@@ -11,7 +11,7 @@ import (
 // user predicate.
 const (
 	BootName  = "<boot>"  // session bootstrap (bottom choice-point save)
-	RedoName  = "<redo>"  // host-forced backtracks (Machine.Redo)
+	RedoName  = "<redo>"  // host-forced backtracks (RunFor after a solution)
 	FaultName = "<fault>" // cycles charged before a fetch fault stopped a step
 	GCName    = "<gc>"    // heap collection (KGCEnd cycles)
 )

@@ -7,55 +7,6 @@ import (
 	"strings"
 )
 
-// Ring is a fixed-capacity in-memory sink keeping the most recent
-// events — the flight recorder for "what led up to this fault".
-type Ring struct {
-	buf  []Event
-	next int
-	n    uint64 // total events seen
-}
-
-// NewRing creates a ring holding the last capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, 0, capacity)}
-}
-
-// Emit records one event, overwriting the oldest when full.
-func (r *Ring) Emit(ev Event) {
-	r.n++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-		return
-	}
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-}
-
-// Seen returns how many events were emitted in total (including
-// overwritten ones).
-func (r *Ring) Seen() uint64 { return r.n }
-
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Reset discards the retained events and the seen count.
-func (r *Ring) Reset() {
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.n = 0
-}
-
 // Recorder keeps the first N events and ignores the rest — the shape
 // golden-trace tests want ("the execution path must start exactly
 // like this").

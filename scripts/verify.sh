@@ -73,8 +73,9 @@ gotest -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDis
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
 gotest -count=1 -run '^$' -fuzz 'FuzzRestoreBlob' -fuzztime 5s ./internal/machine/
 
-echo '== cycle-count pin (kcmbench counters, every other machine.Result counter and every paper table must not drift; EXPERIMENTS.md quotes the tables verbatim)'
+echo '== cycle-count pin (kcmbench counters, every other machine.Result counter and every paper table must not drift; EXPERIMENTS.md quotes the tables verbatim; the golden traces pin the execution order of the first 200 events)'
 gotest -run 'TestCyclePin|TestCounterPin|TestTablesGolden|TestExperimentsExcerpts' ./internal/bench/
+gotest -count=1 -run 'TestGoldenTrace|TestGoldenSeqContiguous' ./internal/trace/
 
 echo '== probe inlining (rd and wr must inline to one call of the data-access probe)'
 inl=$(go build -gcflags=-m ./internal/machine 2>&1)

@@ -88,19 +88,15 @@ type servedRun struct {
 func enumerate(tb testing.TB, s *engine.Session) servedRun {
 	tb.Helper()
 	defer s.Close()
-	counters := func(r machine.Result) machine.Result {
-		r.Bindings = nil // rendered into sols
-		return r
-	}
 	var run servedRun
 	for s.Next(context.Background()) {
 		run.sols = append(run.sols, s.Solution().String())
-		run.res = append(run.res, counters(s.Solution().Result))
+		run.res = append(run.res, s.Solution().Result)
 	}
 	if s.Err() != nil || s.Suspended() {
 		tb.Fatalf("enumeration stopped early: err=%v suspended=%v", s.Err(), s.Suspended())
 	}
-	run.res = append(run.res, counters(s.Result()))
+	run.res = append(run.res, s.Result())
 	return run
 }
 
