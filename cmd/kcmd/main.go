@@ -7,10 +7,11 @@
 // deadlines and step budgets map onto the machine's resumable
 // sessions; budget-suspended queries are parked in a session table
 // with idle eviction; SIGTERM drains gracefully, finishing in-flight
-// and parked queries before exit. With -state DIR, parked sessions
-// are instead serialized to DIR on drain (and on /v1/suspend) and
-// survive the restart: the next kcmd process resumes them via
-// /v1/resume, byte-identical down to the simulated cycle counters.
+// requests and closing parked sessions before exit. With -state DIR,
+// parked sessions are instead serialized to DIR on drain (and on
+// /v1/suspend) and survive the restart: the next kcmd process resumes
+// them via /v1/resume, byte-identical down to the simulated cycle
+// counters.
 //
 // Usage:
 //
@@ -121,8 +122,8 @@ func main() {
 	}
 	fmt.Printf("kcmd: serving %d program(s) on %s\n", len(programs), l.Addr())
 
-	// SIGTERM/SIGINT: stop accepting, finish in-flight requests,
-	// complete parked sessions, then exit.
+	// SIGTERM/SIGINT: stop accepting, finish in-flight requests, park
+	// (with -state) or close parked sessions, then exit.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	done := make(chan error, 1)

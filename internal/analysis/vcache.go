@@ -7,14 +7,17 @@ import (
 )
 
 // The verdict cache memoises CheckEncoded over (block words, base,
-// codeTop). The compile→load path verifies every block twice — the
-// compiler's post-compile pass and the loader's pre-placement check —
-// and an engine pool constructs every member machine from the same
-// image, so load-time verification of an already-vetted block should
-// be a hash lookup, not a re-analysis. Keyed by a 64-bit FNV-1a over
-// the full content; the cache is an optimisation of a pure function,
-// so the (astronomically unlikely) collision would only replay the
-// other block's verdict.
+// codeTop). Its hits are loads of a block already vetted at the same
+// placement: every machine an engine pool builds from one image boots
+// the same image, every lease re-loads its goal block (LoadDyn) at the
+// same frontier while the database's view is unchanged, and a
+// database's delta is installed at its boot frontier on each machine
+// that serves it. (The compiler's own verification pass is a different
+// check — AnalyzePred over its IR, on only under go test — and never
+// reaches this cache.) Keyed by a 64-bit FNV-1a over the full content;
+// the cache is an optimisation of a pure function, so the
+// (astronomically unlikely) collision would only replay the other
+// block's verdict.
 var vcache = struct {
 	sync.Mutex
 	verdicts     map[uint64][]Diag

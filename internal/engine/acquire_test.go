@@ -19,24 +19,24 @@ func TestAcquireBlocksAndCancels(t *testing.T) {
 	}
 	p := New(WithPoolSize(1))
 
-	m, ip, err := p.acquire(context.Background(), im, nil)
+	l, err := p.acquire(context.Background(), im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := p.acquire(ctx, im, nil); !errors.Is(err, machine.ErrCancelled) {
+	if _, err := p.acquire(ctx, im, nil); !errors.Is(err, machine.ErrCancelled) {
 		t.Fatalf("acquire on exhausted pool: %v, want ErrCancelled", err)
 	}
 
-	ip.free <- m
-	m2, _, err := p.acquire(context.Background(), im, nil)
+	l.ip.free <- l
+	l2, err := p.acquire(context.Background(), im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2 != m {
+	if l2.m != l.m {
 		t.Fatal("released machine was not reused")
 	}
-	ip.free <- m2
+	l2.ip.free <- l2
 }

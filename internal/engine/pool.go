@@ -33,7 +33,6 @@ type Pool struct {
 
 	mu     sync.Mutex
 	images map[*asm.Image]*imagePool
-	dyn    map[*machine.Machine]*dynState // tenant delta each machine carries
 }
 
 // imagePool tracks the machines built for one image. free is buffered
@@ -41,8 +40,22 @@ type Pool struct {
 // Pool.mu) counts machines in existence, capping construction.
 type imagePool struct {
 	im    *asm.Image
-	free  chan *machine.Machine
+	free  chan *lease
 	built int
+}
+
+// lease is one pooled machine and what it carries: its image pool, the
+// boot mark taken when it was built, and the database (with the view
+// version) whose delta is installed, nil for none. A lease is either on
+// its image pool's free list or held by one session. Only the holder
+// writes it; the channel hand-over orders those writes before pickFree
+// reads db on the free list.
+type lease struct {
+	m    *machine.Machine
+	ip   *imagePool
+	mark machine.CodeMark
+	db   *dyndb.DB
+	view dyndb.View
 }
 
 // PoolOption configures a Pool at construction. The options mirror
@@ -69,10 +82,7 @@ func WithPoolSize(n int) PoolOption {
 // with up to GOMAXPROCS(0) default-configuration machines. It panics
 // when WithConfig carries a trace hook (see WithConfig).
 func New(options ...PoolOption) *Pool {
-	p := &Pool{
-		images: make(map[*asm.Image]*imagePool),
-		dyn:    make(map[*machine.Machine]*dynState),
-	}
+	p := &Pool{images: make(map[*asm.Image]*imagePool)}
 	for _, opt := range options {
 		opt(p)
 	}
@@ -137,61 +147,58 @@ func (p *Pool) budget(n uint64) uint64 {
 	return n
 }
 
-// release returns a machine to the image pool — unless the query left
-// it faulted. A fault can strike mid-instruction, leaving zone
-// registers, shadow state and the trail mid-update; such a machine
-// must not be handed to a later query on the strength of the next
-// Reset alone. The discarded machine is replaced with a freshly built
-// one immediately: a waiter may already be blocked on free with built
-// at the cap, and decrementing built alone would strand it. Only if
-// the replacement cannot be built (the config stopped being viable)
-// does the slot close, mirroring acquire's build-error accounting.
-func (p *Pool) release(ip *imagePool, m *machine.Machine) {
-	if m.Err() == nil {
-		ip.free <- m
-		return
-	}
-	// The discarded machine's tenant delta dies with it; its
-	// replacement starts at the boot frontier with no tenant.
-	p.mu.Lock()
-	delete(p.dyn, m)
-	p.mu.Unlock()
-	fresh, err := machine.New(ip.im, p.cfg)
+// build makes a machine for one of ip's slots, at the image's boot
+// frontier. When the machine cannot be built (the config stopped being
+// viable) the slot closes: built drops back so a later acquire may try
+// again.
+func (p *Pool) build(ip *imagePool) (*lease, error) {
+	m, err := machine.New(ip.im, p.cfg)
 	if err != nil {
 		p.mu.Lock()
 		ip.built--
 		p.mu.Unlock()
-		return
+		return nil, err
 	}
-	ip.free <- fresh
+	return &lease{m: m, ip: ip, mark: m.Snapshot()}, nil
 }
 
-// acquire returns a machine for im: a free pooled one if available, a
+// release returns a lease to its image pool — unless the query left
+// the machine faulted. A fault can strike mid-instruction, leaving zone
+// registers, shadow state and the trail mid-update; such a machine
+// must not be handed to a later query on the strength of the next
+// Reset alone. The discarded machine, and the tenant delta it carried,
+// is replaced with a freshly built one immediately: a waiter may
+// already be blocked on free with built at the cap, and decrementing
+// built alone would strand it.
+func (p *Pool) release(l *lease) {
+	if l.m.Err() == nil {
+		l.ip.free <- l
+		return
+	}
+	if fresh, err := p.build(l.ip); err == nil {
+		l.ip.free <- fresh
+	}
+}
+
+// acquire leases a machine for im: a free pooled one if available, a
 // newly built one while under the cap, else it blocks until a machine
 // is released or ctx is cancelled. With db set (im is then db's base
 // image) the free machine is chosen by affinity: see pickFree.
-func (p *Pool) acquire(ctx context.Context, im *asm.Image, db *dyndb.DB) (*machine.Machine, *imagePool, error) {
+func (p *Pool) acquire(ctx context.Context, im *asm.Image, db *dyndb.DB) (*lease, error) {
 	p.mu.Lock()
 	ip := p.images[im]
 	if ip == nil {
-		ip = &imagePool{im: im, free: make(chan *machine.Machine, p.size)}
+		ip = &imagePool{im: im, free: make(chan *lease, p.size)}
 		p.images[im] = ip
 	}
-	if m := p.pickFree(ip, db); m != nil {
+	if l := ip.pickFree(db); l != nil {
 		p.mu.Unlock()
-		return m, ip, nil
+		return l, nil
 	}
 	if ip.built < p.size {
 		ip.built++
 		p.mu.Unlock()
-		m, err := machine.New(im, p.cfg)
-		if err != nil {
-			p.mu.Lock()
-			ip.built--
-			p.mu.Unlock()
-			return nil, nil, err
-		}
-		return m, ip, nil
+		return p.build(ip)
 	}
 	p.mu.Unlock()
 	var done <-chan struct{}
@@ -199,43 +206,43 @@ func (p *Pool) acquire(ctx context.Context, im *asm.Image, db *dyndb.DB) (*machi
 		done = ctx.Done()
 	}
 	select {
-	case m := <-ip.free:
-		return m, ip, nil
+	case l := <-ip.free:
+		return l, nil
 	case <-done:
 		cause := ctx.Err()
 		sentinel := machine.ErrCancelled
 		if errors.Is(cause, context.DeadlineExceeded) {
 			sentinel = machine.ErrDeadline
 		}
-		return nil, nil, fmt.Errorf("engine: %w: waiting for a pooled machine: %w",
+		return nil, fmt.Errorf("engine: %w: waiting for a pooled machine: %w",
 			sentinel, cause)
 	}
 }
 
-// pickFree takes a free machine of ip, or returns nil when none is
-// free. With db set it prefers one that last served db: that
-// machine's delta is already installed and its simulated caches are
-// warm for db's code. The caller holds p.mu, so no other acquirer
-// interleaves with the drain of the free list (at most p.size long).
-func (p *Pool) pickFree(ip *imagePool, db *dyndb.DB) *machine.Machine {
+// pickFree takes a free lease of ip, or returns nil when none is free.
+// With db set it prefers one that last served db: that machine's delta
+// is already installed and its simulated caches are warm for db's
+// code. The caller holds Pool.mu, so no other acquirer interleaves
+// with the drain of the free list (at most the pool size long).
+func (ip *imagePool) pickFree(db *dyndb.DB) *lease {
 	if db == nil {
 		select {
-		case m := <-ip.free:
-			return m
+		case l := <-ip.free:
+			return l
 		default:
 			return nil
 		}
 	}
-	var parked []*machine.Machine
-	var pick *machine.Machine
+	var parked []*lease
+	var pick *lease
 drain:
 	for {
 		select {
-		case m := <-ip.free:
-			if pick == nil && p.dyn[m] != nil && p.dyn[m].db == db {
-				pick = m
+		case l := <-ip.free:
+			if pick == nil && l.db == db {
+				pick = l
 			} else {
-				parked = append(parked, m)
+				parked = append(parked, l)
 			}
 		default:
 			break drain
@@ -244,8 +251,8 @@ drain:
 	if pick == nil && len(parked) > 0 {
 		pick, parked = parked[0], parked[1:]
 	}
-	for _, m := range parked {
-		ip.free <- m
+	for _, l := range parked {
+		ip.free <- l
 	}
 	return pick
 }

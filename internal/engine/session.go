@@ -42,8 +42,7 @@ import (
 // themselves.
 type Session struct {
 	p      *Pool
-	ip     *imagePool
-	m      *machine.Machine
+	l      *lease // nil once closed
 	im     *asm.Image
 	budget uint64
 
@@ -74,13 +73,13 @@ func (p *Pool) Begin(ctx context.Context, im *asm.Image, options ...Option) (*Se
 	if !ok {
 		return nil, fmt.Errorf("engine: image has no query entry point")
 	}
-	m, ip, err := p.acquire(ctx, im, nil)
+	l, err := p.acquire(ctx, im, nil)
 	if err != nil {
 		return nil, err
 	}
-	m.Reset() // also clears any fault a previous query left behind
-	m.Begin(entry)
-	return &Session{p: p, ip: ip, m: m, im: im, budget: p.budget(o.budget)}, nil
+	l.m.Reset() // also clears any fault a previous query left behind
+	l.m.Begin(entry)
+	return &Session{p: p, l: l, im: im, budget: p.budget(o.budget)}, nil
 }
 
 // SetBudget replaces the per-slice step budget for subsequent Next
@@ -110,7 +109,7 @@ func (s *Session) Next(ctx context.Context) bool {
 	// A cancellation or deadline stopped RunFor at a stride boundary
 	// with the machine intact; a fresh Next resumes.
 	s.err, s.ctxErr = nil, false
-	st, err := s.m.RunFor(ctx, s.budget)
+	st, err := s.l.m.RunFor(ctx, s.budget)
 	if err != nil {
 		s.err = err
 		s.ctxErr = errors.Is(err, machine.ErrCancelled) || errors.Is(err, machine.ErrDeadline)
@@ -120,7 +119,7 @@ func (s *Session) Next(ctx context.Context) bool {
 		s.suspended = true
 		return false
 	}
-	res := s.m.Result()
+	res := s.l.m.Result()
 	if !res.Success {
 		s.cur = &core.Solution{Success: false, Result: res}
 		return false
@@ -130,7 +129,7 @@ func (s *Session) Next(ctx context.Context) bool {
 		// Read back before any release: the bindings live in this
 		// machine's simulated memory (the term builder's slabs keep
 		// earlier solutions valid after Close).
-		Vars:   s.m.QueryBindings(s.im.QueryVars),
+		Vars:   s.l.m.QueryBindings(s.im.QueryVars),
 		Result: res,
 	}
 	s.delivered++
@@ -170,7 +169,7 @@ func (s *Session) Result() machine.Result {
 	if s.closed {
 		return s.final
 	}
-	return s.m.Result()
+	return s.l.m.Result()
 }
 
 // Close ends the session and releases the machine for the next query.
@@ -181,7 +180,7 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	s.final = s.m.Result()
-	s.p.release(s.ip, s.m)
-	s.m = nil
+	s.final = s.l.m.Result()
+	s.p.release(s.l)
+	s.l = nil
 }

@@ -75,13 +75,10 @@ func (s *Session) Suspend() ([]byte, error) {
 	if s.ended() {
 		return nil, fmt.Errorf("%w: enumeration already ended", ErrNotSuspendable)
 	}
-	s.p.mu.Lock()
-	ds := s.p.dyn[s.m]
-	s.p.mu.Unlock()
-	if ds == nil || ds.db == nil {
+	if s.l.db == nil {
 		return nil, fmt.Errorf("%w: session leased from a whole image; only database sessions park", ErrNotSuspendable)
 	}
-	st, err := s.m.Capture()
+	st, err := s.l.m.Capture()
 	if err != nil {
 		return nil, err
 	}
@@ -91,8 +88,8 @@ func (s *Session) Suspend() ([]byte, error) {
 	// The delta version the machine's code was materialized from,
 	// offset by one so zero stays unambiguously "whole image, no delta"
 	// (what a whole-image session of an older daemon parked).
-	st.DeltaVersion = ds.view.Version + 1
-	st.DeltaTop = ds.view.Top
+	st.DeltaVersion = s.l.view.Version + 1
+	st.DeltaTop = s.l.view.Top
 	blob := snapshot.Encode(st)
 	s.Close()
 	return blob, nil
@@ -136,29 +133,29 @@ func (p *Pool) ResumeDyn(ctx context.Context, db *dyndb.DB, goal term.Term, blob
 	if err != nil {
 		return nil, err
 	}
-	m, ip, err := p.acquire(ctx, db.Image(), db)
+	l, err := p.acquire(ctx, db.Image(), db)
 	if err != nil {
 		return nil, err
 	}
-	qim, top, err := p.load(m, db, g)
-	if err == nil && top != st.DeltaTop {
+	qim, err := l.load(db, g)
+	if err == nil && l.view.Top != st.DeltaTop {
 		// Same version but a different frontier can only mean the
 		// database object is not the one the blob was parked from.
 		err = fmt.Errorf("%w: snapshot delta frontier %d, database view %d",
-			ErrStaleDelta, st.DeltaTop, top)
+			ErrStaleDelta, st.DeltaTop, l.view.Top)
 	}
 	if err == nil {
-		err = m.Restore(st)
+		err = l.m.Restore(st)
 	}
 	if err != nil {
-		p.release(ip, m)
+		p.release(l)
 		return nil, err
 	}
 	if o.budget == 0 {
 		o.budget = st.SessBudget
 	}
 	return &Session{
-		p: p, ip: ip, m: m, im: qim, budget: p.budget(o.budget),
+		p: p, l: l, im: qim, budget: p.budget(o.budget),
 		delivered: int(st.SessDelivered),
 	}, nil
 }

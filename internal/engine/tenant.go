@@ -7,7 +7,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/dyndb"
-	"repro/internal/machine"
 	"repro/internal/term"
 )
 
@@ -33,62 +32,26 @@ import (
 // acquire prefers such a machine, whose simulated caches are also warm
 // for the database's code.
 
-// dynState tracks what a pooled machine currently carries: the boot
-// mark to roll back to, and the database (with the view version) whose
-// delta is installed. It is only ever touched by the machine's current
-// lessee; the map holding it is guarded by Pool.mu.
-type dynState struct {
-	mark machine.CodeMark
-	db   *dyndb.DB
-	view dyndb.View
-}
-
-// dynFor returns (creating on first lease) the machine's dynState.
-// The machine must be leased by the caller, and must sit at its boot
-// frontier on first call. Both hold: acquire builds machines and
-// release builds fault replacements at the boot frontier, and Begin
-// never loads above a base image, which has no query entry.
-func (p *Pool) dynFor(m *machine.Machine) *dynState {
-	p.mu.Lock()
-	st := p.dyn[m]
-	p.mu.Unlock()
-	if st != nil {
-		return st
-	}
-	st = &dynState{mark: m.Snapshot()}
-	p.mu.Lock()
-	p.dyn[m] = st
-	p.mu.Unlock()
-	return st
-}
-
 // install brings a leased machine to the database's current version.
 // A machine already carrying this version only drops the previous goal
 // block; any other — another database's, or this one's at an older
 // version — is rolled back to the boot image and the delta
-// materialised. On error the machine is scrubbed back to its boot
-// state so it can serve the next lease.
-func (p *Pool) install(m *machine.Machine, st *dynState, db *dyndb.DB) error {
-	if st.db == db && st.view.Version == db.Version() {
-		m.TruncateCode(st.view.Top)
+// materialised. On error the machine is rolled back to its boot image
+// again and forgets the database, so it can serve the next lease.
+func (l *lease) install(db *dyndb.DB) error {
+	if l.db == db && l.view.Version == db.Version() {
+		l.m.TruncateCode(l.view.Top)
 		return nil
 	}
-	m.Rollback(st.mark)
-	view, err := db.Materialize(m)
+	l.m.Rollback(l.mark)
+	view, err := db.Materialize(l.m)
 	if err != nil {
-		p.scrub(m, st)
+		l.m.Rollback(l.mark)
+		l.db, l.view = nil, dyndb.View{}
 		return err
 	}
-	st.db, st.view = db, view
+	l.db, l.view = db, view
 	return nil
-}
-
-// scrub returns a machine whose install failed midway to the boot
-// image, forgetting the database association.
-func (p *Pool) scrub(m *machine.Machine, st *dynState) {
-	m.Rollback(st.mark)
-	st.db = nil
-	st.view = dyndb.View{}
 }
 
 // Goal is a query goal compiled once into a position-independent
@@ -137,26 +100,24 @@ func (g *Goal) link(db *dyndb.DB, view dyndb.View) (*asm.Image, error) {
 }
 
 // load makes a leased machine carry db's current view with g's block
-// loaded transiently above it, and returns the block and the view's
-// frontier. The block links against the view's consistent entry table,
-// not the live database, which may be mutating concurrently. The
-// counters are reset after the load, so its untimed code writes are
-// not charged to the query. On error the machine is still fit for
-// release.
-func (p *Pool) load(m *machine.Machine, db *dyndb.DB, g *Goal) (*asm.Image, uint32, error) {
-	st := p.dynFor(m)
-	if err := p.install(m, st, db); err != nil {
-		return nil, 0, err
+// loaded transiently above it, and returns the block. The block links
+// against the view's consistent entry table, not the live database,
+// which may be mutating concurrently. The counters are reset after the
+// load, so its untimed code writes are not charged to the query. On
+// error the machine is still fit for release.
+func (l *lease) load(db *dyndb.DB, g *Goal) (*asm.Image, error) {
+	if err := l.install(db); err != nil {
+		return nil, err
 	}
-	qim, err := g.link(db, st.view)
+	qim, err := g.link(db, l.view)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if _, err := m.LoadDyn(qim.Code); err != nil {
-		return nil, 0, err
+	if _, err := l.m.LoadDyn(qim.Code); err != nil {
+		return nil, err
 	}
-	m.Reset()
-	return qim, st.view.Top, nil
+	l.m.Reset()
+	return qim, nil
 }
 
 // BeginGoal leases a pooled machine for one query of g over db: db's
@@ -170,17 +131,17 @@ func (p *Pool) BeginGoal(ctx context.Context, db *dyndb.DB, g *Goal, options ...
 	for _, opt := range options {
 		opt(&o)
 	}
-	m, ip, err := p.acquire(ctx, db.Image(), db)
+	l, err := p.acquire(ctx, db.Image(), db)
 	if err != nil {
 		return nil, err
 	}
-	qim, _, err := p.load(m, db, g)
+	qim, err := l.load(db, g)
 	if err != nil {
-		p.release(ip, m)
+		p.release(l)
 		return nil, err
 	}
-	m.Begin(qim.Entries[compiler.QueryPI])
-	return &Session{p: p, ip: ip, m: m, im: qim, budget: p.budget(o.budget)}, nil
+	l.m.Begin(qim.Entries[compiler.QueryPI])
+	return &Session{p: p, l: l, im: qim, budget: p.budget(o.budget)}, nil
 }
 
 // BeginDyn compiles goal against db's symbol table and leases it with

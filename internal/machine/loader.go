@@ -28,10 +28,11 @@ func (e *CodeError) Error() string {
 }
 
 // checkCode validates an encoded block before any word reaches the
-// code space. Verification goes through the analyzer's verdict cache:
-// the compile→load path checks every block twice, and a machine pool
-// constructs each member from the same image, so a block already
-// vetted at this placement is a hash lookup.
+// code space. Verification goes through the analyzer's verdict cache,
+// so a block already vetted at this placement is a hash lookup: a pool
+// boots each of its machines from the same image, re-loads a goal
+// block at the same frontier on every lease, and installs a database's
+// delta at the boot frontier of each machine that serves it.
 func checkCode(code []word.Word, base, codeTop uint32) error {
 	if ds := analysis.CheckEncodedCached(code, base, codeTop); len(ds) > 0 {
 		return &CodeError{Base: base, Diags: ds}

@@ -187,78 +187,58 @@ func mutationStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// handleAssert adds a clause to a tenant database. The machines are
-// untouched here: pooled machines pick the new version up on their
-// next lease.
-func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
-	var req wire.AssertRequest
-	if !decodeBody(w, r, &req) {
-		return
+// handleMutation serves /v1/assert (retract false) and /v1/retract.
+// Both bodies decode as an AssertRequest; a retract ignores Front.
+func (s *Server) handleMutation(retract bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req wire.AssertRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		rep, code := s.mutate(req, retract)
+		writeJSON(w, code, rep)
 	}
+}
+
+// mutate is the writer-free body of assert and retract: it adds a
+// clause to a tenant database, or removes the first variant-equal one
+// and replies "no" when none matched. The machines are untouched here:
+// pooled machines pick the new version up on their next lease.
+func (s *Server) mutate(req wire.AssertRequest, retract bool) (wire.Reply, int) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorReply(errTableClosed))
-		return
+		return errorReply(errTableClosed), http.StatusServiceUnavailable
 	}
 	if req.Tenant == "" {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("assert needs a tenant")))
-		return
+		verb := "assert"
+		if retract {
+			verb = "retract"
+		}
+		return errorReply(fmt.Errorf("%s needs a tenant", verb)), http.StatusBadRequest
 	}
 	cl, err := parseClause(req.Clause)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(err))
-		return
+		return errorReply(err), http.StatusBadRequest
 	}
 	_, db, err := s.database(req.Program, req.Tenant)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(err))
-		return
+		return errorReply(err), http.StatusBadRequest
 	}
 	var version uint64
-	if req.Front {
+	matched := true // an assert always adds its clause
+	switch {
+	case retract:
+		matched, version, err = db.Retract(cl)
+	case req.Front:
 		version, err = db.Asserta(cl)
-	} else {
+	default:
 		version, err = db.Assertz(cl)
 	}
 	if err != nil {
-		writeJSON(w, mutationStatus(err), errorReply(err))
-		return
+		return errorReply(err), mutationStatus(err)
 	}
-	writeJSON(w, http.StatusOK, wire.Reply{Status: wire.StatusYes, Version: version})
-}
-
-// handleRetract removes the first variant-equal clause from a tenant
-// database; Status "no" reports that nothing matched.
-func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
-	var req wire.RetractRequest
-	if !decodeBody(w, r, &req) {
-		return
+	status := wire.StatusYes
+	if !matched {
+		status = wire.StatusNo
 	}
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorReply(errTableClosed))
-		return
-	}
-	if req.Tenant == "" {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("retract needs a tenant")))
-		return
-	}
-	cl, err := parseClause(req.Clause)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(err))
-		return
-	}
-	_, db, err := s.database(req.Program, req.Tenant)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(err))
-		return
-	}
-	ok, version, err := db.Retract(cl)
-	if err != nil {
-		writeJSON(w, mutationStatus(err), errorReply(err))
-		return
-	}
-	status := wire.StatusNo
-	if ok {
-		status = wire.StatusYes
-	}
-	writeJSON(w, http.StatusOK, wire.Reply{Status: status, Version: version})
+	return wire.Reply{Status: status, Version: version}, http.StatusOK
 }

@@ -6,7 +6,8 @@
 // per-request deadlines and step budgets mapped onto the machine's
 // resumable RunFor sessions, backpressure from budget-suspended
 // sessions parked in a server-side table, and a graceful drain that
-// finishes in-flight queries on SIGTERM.
+// finishes in-flight requests on SIGTERM and then parks every parked
+// session to disk or closes it.
 //
 // The handler discipline matters: a pooled machine must never be held
 // across a network write (a slow client would hold a machine hostage;
@@ -60,8 +61,8 @@ type Config struct {
 	// StateDir, when set, enables session suspend/resume across
 	// daemon restarts: /v1/suspend serializes a parked session's
 	// machine state to a blob file here, /v1/resume rebuilds it, and
-	// Drain parks every live session the same way instead of running
-	// it to completion.
+	// Drain parks every live session the same way instead of closing
+	// it.
 	StateDir string
 }
 
@@ -92,6 +93,14 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Programs) == 0 {
 		return nil, fmt.Errorf("server: no programs to serve")
+	}
+	switch {
+	case cfg.MaxSessions < 0:
+		return nil, fmt.Errorf("server: negative MaxSessions %d", cfg.MaxSessions)
+	case cfg.DefaultTimeout < 0:
+		return nil, fmt.Errorf("server: negative DefaultTimeout %v", cfg.DefaultTimeout)
+	case cfg.IdleTimeout < 0:
+		return nil, fmt.Errorf("server: negative IdleTimeout %v", cfg.IdleTimeout)
 	}
 	if cfg.DefaultBudget == 0 {
 		cfg.DefaultBudget = 50_000_000
@@ -124,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Pool exposes the machine pool (stats, profiling aggregate).
+// Pool exposes the machine pool, for its occupancy stats.
 func (s *Server) Pool() *engine.Pool { return s.pool }
 
 // Handler returns the daemon's route table; it is also what Serve
@@ -136,8 +145,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cancel", s.handleCancel)
 	mux.HandleFunc("POST /v1/suspend", s.handleSuspend)
 	mux.HandleFunc("POST /v1/resume", s.handleResume)
-	mux.HandleFunc("POST /v1/assert", s.handleAssert)
-	mux.HandleFunc("POST /v1/retract", s.handleRetract)
+	mux.HandleFunc("POST /v1/assert", s.handleMutation(false))
+	mux.HandleFunc("POST /v1/retract", s.handleMutation(true))
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return mux
 }
@@ -162,40 +171,59 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-// evictLoop reaps idle sessions until the janitor channel closes.
+// evictLoop ends every session idle for longer than IdleTimeout, until
+// the janitor channel closes. An entry busy in a request simply waits
+// its turn: lastUsed is re-checked once e.ops is held, so a session a
+// client just touched survives. The tick is at least a millisecond: a
+// finer one would only spin the janitor.
 func (s *Server) evictLoop() {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.IdleTimeout / 4)
+	tick := time.NewTicker(max(s.cfg.IdleTimeout/4, time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {
 		case <-s.janitor:
 			return
 		case <-tick.C:
-			for _, e := range s.sessions.evictIdle(s.cfg.IdleTimeout) {
-				s.account(e.sess, false)
+			cutoff := time.Now().Add(-s.cfg.IdleTimeout).UnixNano()
+			for _, e := range s.sessions.snapshot() {
+				if e.lastUsed.Load() > cutoff {
+					continue
+				}
+				e.ops.Lock()
+				if !e.done && e.lastUsed.Load() <= cutoff {
+					s.end(e, reasonEvicted, false)
+				}
+				e.ops.Unlock()
 			}
 		}
 	}
 }
 
 // Drain shuts the daemon down gracefully: stop accepting new queries,
-// wait for in-flight requests, then deal with every parked session so
-// no accepted query is abandoned — serialized to the state directory
-// when one is configured (the client resumes after restart with the
-// session id as the handle), run to completion otherwise. Bounded by
-// ctx; safe to call once.
+// wait for in-flight requests, then end every parked session, so no
+// machine stays leased. With a state directory each session is parked
+// to disk (the client resumes after restart with the session id as
+// the handle); otherwise it is closed, and a later request for it gets
+// a 410. ctx bounds the wait for in-flight requests; safe to call once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
 	}
-	if s.cfg.StateDir != "" {
-		s.parkAll()
-	}
-	for _, e := range s.sessions.drainAll(ctx) {
-		s.account(e.sess, false)
+	for _, e := range s.sessions.shut() {
+		e.ops.Lock()
+		if !e.done && s.cfg.StateDir != "" {
+			// A failed write ends e without a handle, and a refusal
+			// leaves it to the close below; no request is left to
+			// report either to.
+			_ = s.park(e)
+		}
+		if !e.done {
+			s.end(e, reasonDrained, false)
+		}
+		e.ops.Unlock()
 	}
 	close(s.janitor)
 	s.wg.Wait()
@@ -240,6 +268,18 @@ func (s *Server) runCtx(ctx context.Context, timeoutMS int64) (context.Context, 
 	return context.WithTimeout(ctx, d)
 }
 
+// end is the one exit of a parked session: it marks the entry done for
+// reason, closes the session (a no-op after Suspend, which has already
+// released the machine), retires the entry and folds the session's
+// counters into the totals. The caller holds e.ops and has seen e.done
+// unset.
+func (s *Server) end(e *entry, reason doneReason, errored bool) {
+	e.done, e.reason = true, reason
+	e.sess.Close()
+	s.sessions.retire(e)
+	s.account(e.sess, errored)
+}
+
 // account folds a finished session's counters into the daemon totals.
 // delivered marks outcomes already counted per solution; the rest of
 // the counters are cumulative per session, added exactly once when
@@ -279,8 +319,8 @@ func bindings(sol *core.Solution) map[string]string {
 		return nil
 	}
 	out := make(map[string]string, len(sol.Vars))
-	for name, t := range sol.Bindings() {
-		out[name] = t.String()
+	for v, t := range sol.Vars {
+		out[string(v)] = t.String()
 	}
 	return out
 }
@@ -316,96 +356,87 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // runQuery leases a session, runs the first slice, and either
 // completes (releasing the machine) or parks the session for
-// next/cancel. No network writes happen here.
+// next/cancel: a suspension always, a solution when the request
+// enumerates. The parked entry records the code environment (program,
+// tenant, goal) so /v1/suspend can serialize the session for a later
+// daemon process. No network writes happen here.
 func (s *Server) runQuery(ctx context.Context, req wire.QueryRequest) (wire.Reply, int) {
 	runCtx, cancel := s.runCtx(ctx, req.TimeoutMS)
 	defer cancel()
 	sess, err := s.begin(runCtx, req)
 	if err != nil {
-		if errors.Is(err, machine.ErrCancelled) || errors.Is(err, machine.ErrDeadline) {
-			// Admission control: every machine is leased and none
-			// freed up before the deadline.
-			return errorReply(err), http.StatusServiceUnavailable
-		}
-		s.totMu.Lock()
-		s.totals.Queries++
-		s.totals.Errors++
-		s.totMu.Unlock()
-		return errorReply(err), http.StatusBadRequest
+		return errorReply(err), s.refused(err)
 	}
-	ok := sess.Next(runCtx)
-	return s.settle(sess, req, ok)
-}
-
-// settle turns a Next outcome into a wire reply, closing or parking
-// the session. The request identifies the code environment (program,
-// tenant, goal) recorded on the parked entry so /v1/suspend can
-// serialize the session for a later daemon process.
-func (s *Server) settle(sess *engine.Session, req wire.QueryRequest, ok bool) (wire.Reply, int) {
-	keep := req.Enumerate
-	switch {
-	case ok:
-		sol := sess.Solution()
-		rep := wire.Reply{
-			Status:    wire.StatusYes,
-			Bindings:  bindings(sol),
-			Solutions: sess.Delivered(),
-			Stats:     counters(sol.Result),
-		}
-		if keep {
-			e, err := s.sessions.add(req.Program, req.Tenant, req.Goal, sess)
-			if err != nil {
-				sess.Close()
-				s.account(sess, false)
-				rep.Error = err.Error() // delivered, but not resumable
-				return rep, http.StatusOK
-			}
-			rep.Session = e.id
-			return rep, http.StatusOK
-		}
-		sess.Close()
-		s.account(sess, false)
-		return rep, http.StatusOK
-	case sess.Suspended() || resumableErr(sess):
-		// Budget or request deadline ran out mid-search: park the
-		// session; the client resumes with next or gives up with
-		// cancel. This is the backpressure path.
+	rep, code, live := slice(sess, sess.Next(runCtx))
+	suspended := rep.Status == wire.StatusSuspended
+	if live && (suspended || req.Enumerate) {
 		e, err := s.sessions.add(req.Program, req.Tenant, req.Goal, sess)
-		if err != nil {
+		switch {
+		case err == nil:
+			rep.Session = e.id
+			return rep, code
+		case suspended:
 			sess.Close()
 			s.account(sess, true)
 			return errorReply(fmt.Errorf("suspended and cannot park: %w", err)),
 				http.StatusServiceUnavailable
 		}
-		return wire.Reply{
-			Status:    wire.StatusSuspended,
-			Session:   e.id,
-			Solutions: sess.Delivered(),
-		}, http.StatusOK
-	case sess.Err() != nil:
-		err := sess.Err()
-		sess.Close()
-		s.account(sess, true)
-		return errorReply(err), http.StatusUnprocessableEntity
+		rep.Error = err.Error() // delivered, but not resumable
+	}
+	sess.Close()
+	s.account(sess, code != http.StatusOK)
+	return rep, code
+}
+
+// refused accounts a query whose session could not begin and returns
+// its status. A context-shaped error is admission control — every
+// machine is leased and none freed up before the deadline — so 503,
+// and no query is counted; anything else (unknown program, bad goal)
+// is an errored query, 400.
+func (s *Server) refused(err error) int {
+	if ctxShaped(err) {
+		return http.StatusServiceUnavailable
+	}
+	s.totMu.Lock()
+	s.totals.Queries++
+	s.totals.Errors++
+	s.totMu.Unlock()
+	return http.StatusBadRequest
+}
+
+// slice renders the outcome of one Next call on sess: a solution (with
+// the session's counters so far), a suspension (budget or request
+// deadline ran out mid-search: the backpressure path), exhaustion (with
+// the final counters) or a fault (422). live reports whether the
+// enumeration can go on; when it cannot, the caller ends the session,
+// and a status other than 200 marks it errored.
+func slice(sess *engine.Session, ok bool) (wire.Reply, int, bool) {
+	rep := wire.Reply{Solutions: sess.Delivered()}
+	switch err := sess.Err(); {
+	case ok:
+		sol := sess.Solution()
+		rep.Status = wire.StatusYes
+		rep.Bindings = bindings(sol)
+		rep.Stats = counters(sol.Result)
+		return rep, http.StatusOK, true
+	case sess.Suspended() || ctxShaped(err):
+		rep.Status = wire.StatusSuspended
+		return rep, http.StatusOK, true
+	case err != nil:
+		return errorReply(err), http.StatusUnprocessableEntity, false
 	default:
-		// Search exhausted: no (more) solutions.
-		rep := wire.Reply{
-			Status:    wire.StatusNo,
-			Solutions: sess.Delivered(),
-			Stats:     counters(sess.Result()),
-		}
-		sess.Close()
-		s.account(sess, false)
-		return rep, http.StatusOK
+		rep.Status = wire.StatusNo
+		rep.Stats = counters(sess.Result())
+		return rep, http.StatusOK, false
 	}
 }
 
-// resumableErr reports a context-shaped session error (deadline or
-// cancellation with the machine intact).
-func resumableErr(sess *engine.Session) bool {
-	err := sess.Err()
-	return err != nil &&
-		(errors.Is(err, machine.ErrDeadline) || errors.Is(err, machine.ErrCancelled))
+// ctxShaped reports an error from a request's context: its deadline or
+// cancellation. A session it stops keeps its machine intact, so the
+// search resumes on the next slice; a lease it stops found no machine
+// free in time.
+func ctxShaped(err error) bool {
+	return errors.Is(err, machine.ErrCancelled) || errors.Is(err, machine.ErrDeadline)
 }
 
 // handleNext resumes a parked session by one slice.
@@ -418,65 +449,53 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, rep)
 }
 
-// runNext is the writer-free body of next-solution.
+// runNext is the writer-free body of next-solution. A terminal slice
+// (exhausted or faulted) ends the session and releases the machine.
 func (s *Server) runNext(ctx context.Context, req wire.NextRequest) (wire.Reply, int) {
-	e, ok := s.sessions.get(req.Session)
-	if !ok {
-		if r, known := s.sessions.reasonFor(req.Session); known {
-			return reasonReply(r, req.Session)
-		}
-		return errorReply(fmt.Errorf("unknown session %q", req.Session)), http.StatusNotFound
+	e, rep, code := s.lookup(req.Session)
+	if e == nil {
+		return rep, code
 	}
-	e.ops.Lock()
 	defer e.ops.Unlock()
-	if e.done {
-		// Lost the race with cancel, eviction, suspend or drain; the
-		// reason tells the client whether its own action closed the
-		// session (409) or the server took it away (410).
-		return doneReply(e, req.Session)
-	}
-	e.touch()
 	if req.Budget > 0 {
 		e.sess.SetBudget(s.clampBudget(req.Budget))
 	}
 	runCtx, cancel := s.runCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	ok = e.sess.Next(runCtx)
-	if ok || e.sess.Suspended() || resumableErr(e.sess) {
-		e.touch()
-		rep := wire.Reply{Session: e.id, Solutions: e.sess.Delivered()}
-		if ok {
-			sol := e.sess.Solution()
-			rep.Status = wire.StatusYes
-			rep.Bindings = bindings(sol)
-			rep.Stats = counters(sol.Result)
-		} else {
-			rep.Status = wire.StatusSuspended
-		}
-		return rep, http.StatusOK
+	rep, code, live := slice(e.sess, e.sess.Next(runCtx))
+	if !live {
+		s.end(e, reasonNone, code != http.StatusOK)
+		return rep, code
 	}
-	// Terminal: exhausted or faulted — unpark and release the machine.
-	e.done = true
-	s.sessions.retire(e)
-	if err := e.sess.Err(); err != nil {
-		e.sess.Close()
-		s.account(e.sess, true)
-		return errorReply(err), http.StatusUnprocessableEntity
-	}
-	rep := wire.Reply{
-		Status:    wire.StatusNo,
-		Solutions: e.sess.Delivered(),
-		Stats:     counters(e.sess.Result()),
-	}
-	e.sess.Close()
-	s.account(e.sess, false)
-	return rep, http.StatusOK
+	e.touch()
+	rep.Session = e.id
+	return rep, code
 }
 
-// doneReply maps a closed entry's reason onto the typed HTTP reply
-// for a request that lost the close race. Callers hold e.ops.
-func doneReply(e *entry, id string) (wire.Reply, int) {
-	return reasonReply(e.reason, id)
+// lookup resolves a session id to its live entry, returned with e.ops
+// held for the caller to unlock. An id that is gone resolves to its
+// typed reply instead: 409/410 from its tombstone, else 404. So does
+// an entry that ended while lookup waited for e.ops, because a
+// concurrent cancel, eviction, suspend or drain won the lock; its
+// reason tells the client whether its own action closed the session
+// (409) or the server took it away (410).
+func (s *Server) lookup(id string) (*entry, wire.Reply, int) {
+	e, reason, ok := s.sessions.get(id)
+	if !ok {
+		if reason == reasonNone {
+			return nil, errorReply(fmt.Errorf("unknown session %q", id)), http.StatusNotFound
+		}
+		rep, code := reasonReply(reason, id)
+		return nil, rep, code
+	}
+	e.ops.Lock()
+	if e.done {
+		e.ops.Unlock()
+		rep, code := reasonReply(e.reason, id)
+		return nil, rep, code
+	}
+	e.touch()
+	return e, wire.Reply{}, http.StatusOK
 }
 
 // reasonReply renders the typed reply for a session that left the
@@ -490,7 +509,7 @@ func reasonReply(reason doneReason, id string) (wire.Reply, int) {
 	case reasonEvicted:
 		return errorReply(fmt.Errorf("session %q evicted after idle timeout", id)), http.StatusGone
 	case reasonDrained:
-		return errorReply(fmt.Errorf("session %q completed by shutdown drain", id)), http.StatusGone
+		return errorReply(fmt.Errorf("session %q closed by shutdown drain", id)), http.StatusGone
 	case reasonParked:
 		rep := errorReply(fmt.Errorf("session %q suspended to disk; resume with its handle", id))
 		rep.Handle = id
@@ -506,34 +525,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	e, ok := s.sessions.get(req.Session)
-	if !ok {
-		if r, known := s.sessions.reasonFor(req.Session); known {
-			rep, code := reasonReply(r, req.Session)
-			writeJSON(w, code, rep)
-			return
-		}
-		writeJSON(w, http.StatusNotFound,
-			errorReply(fmt.Errorf("unknown session %q", req.Session)))
-		return
+	e, rep, code := s.lookup(req.Session)
+	if e != nil {
+		s.end(e, reasonCancelled, false)
+		rep = wire.Reply{Status: wire.StatusCancelled, Session: e.id, Solutions: e.sess.Delivered()}
+		e.ops.Unlock()
 	}
-	e.ops.Lock()
-	already := e.done
-	if !e.done {
-		e.done = true
-		e.reason = reasonCancelled
-		e.sess.Close()
-	}
-	e.ops.Unlock()
-	s.sessions.retire(e)
-	if !already {
-		s.account(e.sess, false)
-	}
-	writeJSON(w, http.StatusOK, wire.Reply{
-		Status:    wire.StatusCancelled,
-		Session:   e.id,
-		Solutions: e.sess.Delivered(),
-	})
+	writeJSON(w, code, rep)
 }
 
 // handleStats is the /metrics-style snapshot.
@@ -620,17 +618,12 @@ func (s *Server) streamQuery(ctx context.Context, req wire.QueryRequest, lines c
 	defer cancel()
 	sess, err := s.begin(runCtx, req)
 	if err != nil {
-		if !errors.Is(err, machine.ErrCancelled) && !errors.Is(err, machine.ErrDeadline) {
-			s.totMu.Lock()
-			s.totals.Queries++
-			s.totals.Errors++
-			s.totMu.Unlock()
-		}
+		s.refused(err)
 		s.send(ctx, lines, errorReply(err))
 		return
 	}
 	defer func() {
-		errored := sess.Err() != nil && !resumableErr(sess)
+		errored := sess.Err() != nil && !ctxShaped(sess.Err())
 		sess.Close()
 		s.account(sess, errored)
 	}()

@@ -19,7 +19,7 @@ import (
 
 // The session-table lifecycle under contention: concurrent clients
 // driving next-solution while others cancel, the idle janitor firing
-// mid-enumeration, and a drain that completes suspended sessions.
+// mid-enumeration, and a drain that closes parked sessions.
 // All of it runs through real TCP and the real client, under -race.
 
 const testSrc = `
@@ -231,10 +231,11 @@ func TestIdleEviction(t *testing.T) {
 	}
 }
 
-// TestDrainCompletesSuspended parks suspended sessions, then drains:
-// every parked search must be run to exhaustion, counted as drained,
-// and every machine returned to the pool.
-func TestDrainCompletesSuspended(t *testing.T) {
+// TestDrainClosesParkedSessions parks suspended sessions, then drains
+// without a state directory: every parked session must be closed where
+// it stopped (not run on: its counters stay at its one 100-step budget
+// slice), counted as drained, and every machine returned to the pool.
+func TestDrainClosesParkedSessions(t *testing.T) {
 	srv, c := startServer(t, Config{
 		PoolSize: 2,
 	})
@@ -247,8 +248,9 @@ func TestDrainCompletesSuspended(t *testing.T) {
 			t.Fatalf("park %d: %+v %v", i, rep, err)
 		}
 	}
-	if n := srv.sessions.active(); n != 2 {
-		t.Fatalf("parked %d sessions, want 2", n)
+	parked := srv.sessions.snapshot()
+	if len(parked) != 2 {
+		t.Fatalf("parked %d sessions, want 2", len(parked))
 	}
 
 	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -261,6 +263,11 @@ func TestDrainCompletesSuspended(t *testing.T) {
 	srv.sessions.mu.Unlock()
 	if drained != 2 {
 		t.Errorf("drained %d sessions, want 2", drained)
+	}
+	for _, e := range parked {
+		if n := e.sess.Result().Stats.Instrs; n != 100 {
+			t.Errorf("drained session %s ran %d instructions, want its one 100-step slice", e.id, n)
+		}
 	}
 	if ps := srv.pool.Stats(); ps.InUse != 0 {
 		t.Errorf("machines leaked across drain: %+v", ps)
@@ -351,5 +358,32 @@ func TestStatsSchema(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("/v1/stats keys:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestNewRejectsNegativeLimits: a negative session cap or timeout is a
+// configuration error naming the field, not a silently unbounded table
+// or a janitor panic at Serve.
+func TestNewRejectsNegativeLimits(t *testing.T) {
+	progs := map[string]string{"lists": testSrc}
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"MaxSessions", Config{Programs: progs, MaxSessions: -1}},
+		{"DefaultTimeout", Config{Programs: progs, DefaultTimeout: -time.Second}},
+		{"IdleTimeout", Config{Programs: progs, IdleTimeout: -time.Second}},
+	} {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("New with negative %s: %v, want an error naming it", tc.field, err)
+		}
+	}
+
+	// An idle timeout too small to divide into a janitor tick still
+	// serves.
+	_, c := startServer(t, Config{IdleTimeout: 3 * time.Nanosecond})
+	rep, err := c.Query(context.Background(), wire.QueryRequest{Goal: "member(X, [a])."})
+	if err != nil || rep.Status != wire.StatusYes || rep.Bindings["X"] != "a" {
+		t.Fatalf("query with a 3ns idle timeout: %+v %v", rep, err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/engine"
-	"repro/internal/machine"
 	"repro/internal/wire"
 )
 
@@ -93,61 +92,64 @@ func (s *Server) readEnvelope(handle string) (envelope, bool, error) {
 	return env, true, nil
 }
 
+// errNoStateDir refuses suspend and resume on a daemon started
+// without a state directory.
+var errNoStateDir = errors.New("daemon has no state directory (start kcmd with -state)")
+
 // handleSuspend serializes a parked session to the state directory.
-// The session leaves the table — its machine goes back to the pool —
-// and the reply's handle (the session id) names the snapshot for
-// /v1/resume.
 func (s *Server) handleSuspend(w http.ResponseWriter, r *http.Request) {
 	var req wire.SuspendRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	rep, code := s.runSuspend(req)
+	writeJSON(w, code, rep)
+}
+
+// runSuspend is the writer-free body of suspend. The session leaves
+// the table — its machine goes back to the pool — and the reply's
+// handle (the session id) names the snapshot for /v1/resume.
+func (s *Server) runSuspend(req wire.SuspendRequest) (wire.Reply, int) {
 	if s.cfg.StateDir == "" {
-		writeJSON(w, http.StatusNotImplemented,
-			errorReply(fmt.Errorf("daemon has no state directory (start kcmd with -state)")))
-		return
+		return errorReply(errNoStateDir), http.StatusNotImplemented
 	}
-	e, ok := s.sessions.get(req.Session)
-	if !ok {
-		writeJSON(w, http.StatusNotFound,
-			errorReply(fmt.Errorf("unknown session %q", req.Session)))
-		return
+	e, rep, code := s.lookup(req.Session)
+	if e == nil {
+		return rep, code
 	}
-	e.ops.Lock()
 	defer e.ops.Unlock()
-	if e.done {
-		rep, code := doneReply(e, req.Session)
-		writeJSON(w, code, rep)
-		return
+	if err := s.park(e); err != nil {
+		if !e.done {
+			// Suspend refused: the enumeration already ended. The
+			// session stays in the table for a final next/cancel.
+			return errorReply(err), http.StatusUnprocessableEntity
+		}
+		return errorReply(err), http.StatusInternalServerError
 	}
+	return wire.Reply{Status: wire.StatusParked, Handle: e.id, Solutions: e.sess.Delivered()}, http.StatusOK
+}
+
+// park is the one path to disk: it suspends e's session, writes the
+// envelope under the session id and ends the entry as parked. A
+// session that refuses to suspend stays in the table, and park returns
+// the refusal. A failed write still ends the entry, since Suspend has
+// released the machine, but with no reason: no tombstone then offers a
+// handle that /v1/resume could not find. The caller holds e.ops and
+// has seen e.done unset.
+func (s *Server) park(e *entry) error {
 	blob, err := e.sess.Suspend()
 	if err != nil {
-		// Suspend refused: the enumeration already ended. The session
-		// stays in the table for a final next/cancel.
-		writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
-		return
+		return err
 	}
-	// The machine is released; the entry must leave the table whether
-	// or not the disk write succeeds.
-	e.done = true
-	e.reason = reasonParked
-	delivered := e.sess.Delivered()
-	s.sessions.retire(e)
-	s.account(e.sess, false)
-	if err := s.writeEnvelope(e.id, envelope{
+	err = s.writeEnvelope(e.id, envelope{
 		Program: e.program, Tenant: e.tenant, Goal: e.goal, Blob: blob,
-	}); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorReply(err))
-		return
-	}
-	s.sessions.mu.Lock()
-	s.sessions.parked++
-	s.sessions.mu.Unlock()
-	writeJSON(w, http.StatusOK, wire.Reply{
-		Status:    wire.StatusParked,
-		Handle:    e.id,
-		Solutions: delivered,
 	})
+	reason := reasonParked
+	if err != nil {
+		reason = reasonNone
+	}
+	s.end(e, reason, false)
+	return err
 }
 
 // handleResume rebuilds a suspended session from its on-disk handle
@@ -164,8 +166,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.StateDir == "" {
-		writeJSON(w, http.StatusNotImplemented,
-			errorReply(fmt.Errorf("daemon has no state directory (start kcmd with -state)")))
+		writeJSON(w, http.StatusNotImplemented, errorReply(errNoStateDir))
 		return
 	}
 	env, ok, err := s.readEnvelope(req.Handle)
@@ -222,41 +223,9 @@ func resumeStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrStaleDelta):
 		return http.StatusConflict
-	case errors.Is(err, machine.ErrCancelled), errors.Is(err, machine.ErrDeadline):
+	case ctxShaped(err):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusUnprocessableEntity
-	}
-}
-
-// parkAll serializes every live table session to the state directory
-// under its session id, so clients resume across the daemon restart
-// with the session id as the handle. Sessions that refuse to suspend
-// (enumeration already ended) are left for drainAll to close.
-func (s *Server) parkAll() {
-	for _, e := range s.sessions.snapshot() {
-		e.ops.Lock()
-		if e.done {
-			e.ops.Unlock()
-			continue
-		}
-		blob, err := e.sess.Suspend()
-		if err != nil {
-			e.ops.Unlock()
-			continue
-		}
-		e.done = true
-		e.reason = reasonParked
-		err = s.writeEnvelope(e.id, envelope{
-			Program: e.program, Tenant: e.tenant, Goal: e.goal, Blob: blob,
-		})
-		e.ops.Unlock()
-		s.sessions.retire(e)
-		s.account(e.sess, false)
-		if err == nil {
-			s.sessions.mu.Lock()
-			s.sessions.parked++
-			s.sessions.mu.Unlock()
-		}
 	}
 }

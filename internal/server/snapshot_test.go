@@ -271,10 +271,10 @@ func TestTenantSuspendResumeHTTP(t *testing.T) {
 	}
 }
 
-// TestDoneReasonsTyped is the satellite eviction-race fix's interface
-// contract: a next on a session the client cancelled is 409; on one
-// the server evicted or suspended to disk, 410 (the latter carrying
-// the resume handle).
+// TestDoneReasonsTyped is the eviction-race interface contract: a
+// next, cancel or suspend on a session the client cancelled is 409; on
+// one the server evicted or suspended to disk, 410 (the latter
+// carrying the resume handle).
 func TestDoneReasonsTyped(t *testing.T) {
 	srv, c := startServer(t, Config{
 		PoolSize:    2,
@@ -304,6 +304,9 @@ func TestDoneReasonsTyped(t *testing.T) {
 	if rep, code := postRaw(t, base, "/v1/cancel", wire.CancelRequest{Session: id}); code != http.StatusConflict {
 		t.Fatalf("cancel after cancel: http %d %+v, want 409", code, rep)
 	}
+	if rep, code := postRaw(t, base, "/v1/suspend", wire.SuspendRequest{Session: id}); code != http.StatusConflict {
+		t.Fatalf("suspend after cancel: http %d %+v, want 409", code, rep)
+	}
 
 	// Suspended to disk: 410 with the resume handle.
 	id = park()
@@ -323,10 +326,47 @@ func TestDoneReasonsTyped(t *testing.T) {
 	if rep, code := postRaw(t, base, "/v1/next", wire.NextRequest{Session: id}); code != http.StatusGone {
 		t.Fatalf("next after evict: http %d %+v, want 410", code, rep)
 	}
+	if rep, code := postRaw(t, base, "/v1/suspend", wire.SuspendRequest{Session: id}); code != http.StatusGone {
+		t.Fatalf("suspend after evict: http %d %+v, want 410", code, rep)
+	}
 
 	// A session id the daemon never minted stays a plain 404.
 	if rep, code := postRaw(t, base, "/v1/next", wire.NextRequest{Session: "0123456789abcdef"}); code != http.StatusNotFound {
 		t.Fatalf("next on unknown: http %d %+v, want 404", code, rep)
+	}
+}
+
+// TestSuspendWriteFailureLeavesNoHandle: when the state directory
+// cannot be written, /v1/suspend is a 500 and the session is gone —
+// its machine back in the pool, nothing counted as parked — and a
+// later next must not answer 410 with a resume handle no snapshot
+// backs.
+func TestSuspendWriteFailureLeavesNoHandle(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "state")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, c := startServer(t, Config{PoolSize: 1, StateDir: notDir})
+	base := c.Base()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	rep, err := c.Query(ctx, wire.QueryRequest{Goal: longGoal, Budget: 100})
+	if err != nil || rep.Status != wire.StatusSuspended {
+		t.Fatalf("park: %+v %v", rep, err)
+	}
+	id := rep.Session
+	if rep, code := postRaw(t, base, "/v1/suspend", wire.SuspendRequest{Session: id}); code != http.StatusInternalServerError {
+		t.Fatalf("suspend into a regular file: http %d %+v, want 500", code, rep)
+	}
+	if rep, code := postRaw(t, base, "/v1/next", wire.NextRequest{Session: id}); code == http.StatusGone || rep.Handle != "" {
+		t.Fatalf("next after a failed suspend: http %d %+v, want no resume handle", code, rep)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Sessions.Parked != 0 || st.Pool.InUse != 0 {
+		t.Fatalf("after a failed suspend: sessions %+v, pool %+v", st.Sessions, st.Pool)
 	}
 }
 

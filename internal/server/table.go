@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -17,9 +16,10 @@ import (
 // engine.Session — and with it one pooled machine — so the table's
 // size bounds how many machines the network side can hold away from
 // the pool: that, plus the pool's blocking acquire, is the server's
-// backpressure. Idle entries are reaped by a janitor so an abandoned
-// client cannot strand a machine forever, and Drain completes every
-// parked enumeration before shutdown.
+// backpressure. Every entry leaves through Server.end: a terminal
+// next, a cancel, the idle janitor (so an abandoned client cannot
+// strand a machine forever), a suspend to disk, or the shutdown drain,
+// which parks each remaining session to disk or closes it.
 
 // errTableClosed rejects parking attempts once a drain has begun.
 var errTableClosed = errors.New("server: draining, not accepting new sessions")
@@ -38,7 +38,7 @@ const (
 	reasonNone      doneReason = iota
 	reasonCancelled            // client cancel
 	reasonEvicted              // idle janitor
-	reasonDrained              // shutdown drain ran it to completion
+	reasonDrained              // closed by the shutdown drain
 	reasonParked               // serialized to the state directory
 )
 
@@ -62,7 +62,8 @@ type entry struct {
 func (e *entry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
 
 // table is the id -> entry map plus its lifecycle counters. The map
-// lock is never held while an entry's ops lock is taken.
+// lock is never held while an entry's ops lock is taken. max is
+// positive: New rejects a negative cap and defaults a zero one.
 type table struct {
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -102,7 +103,7 @@ func (t *table) add(program, tenant, goal string, sess *engine.Session) (*entry,
 	if t.closed {
 		return nil, errTableClosed
 	}
-	if t.max > 0 && len(t.entries) >= t.max {
+	if len(t.entries) >= t.max {
 		return nil, errTableFull
 	}
 	t.entries[id] = e
@@ -114,43 +115,43 @@ func (t *table) add(program, tenant, goal string, sess *engine.Session) (*entry,
 // section (touch-then-evict atomicity: a request that found the entry
 // has already refreshed it before the janitor's cutoff re-check under
 // e.ops can run, so an actively-used session is never evicted between
-// lookup and lock). The caller takes e.ops and must re-check e.done —
-// a strictly concurrent evict or cancel may still win the lock, and
-// e.reason then says which, for the typed 409/410 reply.
-func (t *table) get(id string) (*entry, bool) {
+// lookup and lock). For an id not in the table it returns the reason
+// its tombstone recorded, reasonNone when there is none.
+func (t *table) get(id string) (*entry, doneReason, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[id]
-	if ok {
-		e.touch()
+	if !ok {
+		return nil, t.tombs[id], false
 	}
-	return e, ok
+	e.touch()
+	return e, reasonNone, true
 }
 
 // retire drops the entry from the map (the caller has closed or
-// suspended the session and set e.reason under e.ops), leaving a
-// typed tombstone when there is a reason worth reporting. Tombstones
-// are capped; a full set is dropped wholesale — after 4096 retires a
-// stale client degrades from a typed 409/410 to a plain 404, which is
-// still correct, just less helpful.
+// suspended the session and set e.reason under e.ops), counts it under
+// its reason, and leaves a typed tombstone when there is a reason worth
+// reporting. Tombstones are capped; a full set is dropped wholesale —
+// after 4096 retires a stale client degrades from a typed 409/410 to a
+// plain 404, which is still correct, just less helpful.
 func (t *table) retire(e *entry) {
 	t.mu.Lock()
-	delete(t.entries, e.id)
-	if e.reason != reasonNone {
-		if len(t.tombs) >= 4096 {
-			clear(t.tombs)
-		}
-		t.tombs[e.id] = e.reason
-	}
-	t.mu.Unlock()
-}
-
-// reasonFor reports why a session id no longer resolves, if known.
-func (t *table) reasonFor(id string) (doneReason, bool) {
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, ok := t.tombs[id]
-	return r, ok
+	delete(t.entries, e.id)
+	switch e.reason {
+	case reasonNone:
+		return
+	case reasonEvicted:
+		t.evicted++
+	case reasonDrained:
+		t.drained++
+	case reasonParked:
+		t.parked++
+	}
+	if len(t.tombs) >= 4096 {
+		clear(t.tombs)
+	}
+	t.tombs[e.id] = e.reason
 }
 
 // active is the number of parked sessions.
@@ -160,7 +161,7 @@ func (t *table) active() int {
 	return len(t.entries)
 }
 
-// snapshot returns the current entries, for eviction and drain scans.
+// snapshot returns the current entries, for the eviction scan.
 func (t *table) snapshot() []*entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -171,73 +172,13 @@ func (t *table) snapshot() []*entry {
 	return out
 }
 
-// evictIdle closes every session idle for longer than maxIdle and
-// returns the closed entries (the server accounts their counters).
-// An entry busy in a request simply waits its turn: the ops lock is
-// taken, and lastUsed is re-checked after it is held, so a session a
-// client just touched survives.
-func (t *table) evictIdle(maxIdle time.Duration) []*entry {
-	cutoff := time.Now().Add(-maxIdle).UnixNano()
-	var closed []*entry
-	for _, e := range t.snapshot() {
-		if e.lastUsed.Load() > cutoff {
-			continue
-		}
-		e.ops.Lock()
-		if !e.done && e.lastUsed.Load() <= cutoff {
-			e.done = true
-			e.reason = reasonEvicted
-			e.sess.Close()
-			t.retire(e)
-			closed = append(closed, e)
-		}
-		e.ops.Unlock()
-	}
-	t.mu.Lock()
-	t.evicted += uint64(len(closed))
-	t.mu.Unlock()
-	return closed
-}
-
-// drainAll stops accepting new sessions, then completes every parked
-// enumeration: each suspended session is resumed and run until its
-// search exhausts (or ctx expires), so no query the server accepted
-// is left half-done. It returns the closed entries.
-func (t *table) drainAll(ctx context.Context) []*entry {
+// shut stops the table taking new sessions and returns the ones parked
+// in it, for the drain to end.
+func (t *table) shut() []*entry {
 	t.mu.Lock()
 	t.closed = true
 	t.mu.Unlock()
-
-	var closed []*entry
-	for _, e := range t.snapshot() {
-		e.ops.Lock()
-		if e.done {
-			e.ops.Unlock()
-			continue
-		}
-		finished := true
-		for e.sess.Next(ctx) || e.sess.Suspended() {
-			if ctx.Err() != nil {
-				finished = false
-				break
-			}
-		}
-		if e.sess.Err() != nil {
-			finished = false
-		}
-		e.done = true
-		e.reason = reasonDrained
-		e.sess.Close()
-		e.ops.Unlock()
-		t.retire(e)
-		closed = append(closed, e)
-		if finished {
-			t.mu.Lock()
-			t.drained++
-			t.mu.Unlock()
-		}
-	}
-	return closed
+	return t.snapshot()
 }
 
 // newSessionID mints an unguessable 16-hex-digit session id.

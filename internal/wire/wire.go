@@ -36,9 +36,10 @@
 // "parked"); resume rebuilds it — in the same daemon or a restarted
 // one — as a fresh parked session driven with next/cancel as usual.
 // When the daemon has a state directory, a SIGTERM drain parks every
-// live session the same way instead of running it to completion, each
-// under its session id as the handle, so clients resume exactly where
-// they left off after the restart.
+// live session the same way, each under its session id as the handle,
+// so clients resume exactly where they left off after the restart.
+// Without one, the drain closes every parked session, and a later
+// request for it gets a 410.
 package wire
 
 // Status values carried by Reply.Status.
@@ -188,7 +189,7 @@ type SessionStats struct {
 	Active  int    `json:"active"`
 	Created uint64 `json:"created"`
 	Evicted uint64 `json:"evicted"` // idle sessions reaped by the janitor
-	Drained uint64 `json:"drained"` // suspended sessions completed at shutdown
+	Drained uint64 `json:"drained"` // parked sessions closed by the shutdown drain
 	Parked  uint64 `json:"parked"`  // sessions serialized to the state directory
 }
 

@@ -58,6 +58,9 @@ gotest -race -run 'TestPoolRace|TestPoolTraceRace|TestTenantCompactionRace' ./in
 echo '== stream writer and stream race tests (enumerator and writer goroutines share the line channel and the cancel func)'
 gotest -race -count=5 -run 'TestStream' ./internal/server/
 
+echo '== session lifecycle (next, cancel, eviction, suspend and drain race to end one parked session; each ending is typed and strands no machine)'
+gotest -race -count=2 -run 'TestEvictSuspendCancelRace|TestConcurrentNextAndCancel|TestNextCancelSameSession|TestDoneReasonsTyped|TestDrainClosesParkedSessions|TestSuspendWriteFailureLeavesNoHandle' ./internal/server/
+
 echo '== differential gates (assert-built == statically-compiled, incl. warm counters; served goal block == whole image, incl. cold and warm counters)'
 gotest -count=1 -run 'TestDynamicDifferential|TestServingDifferential' . ./internal/machine/ ./internal/server/
 
