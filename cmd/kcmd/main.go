@@ -7,11 +7,12 @@
 // deadlines and step budgets map onto the machine's resumable
 // sessions; budget-suspended queries are parked in a session table
 // with idle eviction; SIGTERM drains gracefully, finishing in-flight
-// requests and closing parked sessions before exit. With -state DIR,
-// parked sessions are instead serialized to DIR on drain (and on
-// /v1/suspend) and survive the restart: the next kcmd process resumes
-// them via /v1/resume, byte-identical down to the simulated cycle
-// counters.
+// requests and closing parked sessions before exit. With -state DIR
+// (created at startup), parked sessions are instead serialized to DIR
+// on drain (and on /v1/suspend) and survive the restart: the next kcmd
+// process resumes them via /v1/resume, byte-identical down to the
+// simulated cycle counters. A drain that cannot write a session exits
+// 1 naming it.
 //
 // Usage:
 //
@@ -92,6 +93,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: kcmd [flags] program.pl...  (or -demo)")
 		flag.PrintDefaults()
 		os.Exit(2)
+	}
+
+	// Create the state directory up front: a -state naming a regular
+	// file fails here, not at the drain, where it would lose every
+	// parked session.
+	if *state != "" {
+		if err := os.MkdirAll(*state, 0o700); err != nil {
+			fatal(fmt.Errorf("state directory: %w", err))
+		}
 	}
 
 	cfg := server.Config{

@@ -206,7 +206,7 @@ func BenchmarkHostWarmBoot(b *testing.B) {
 // BenchmarkHostWarmRestore times a snapshot restore: one machine runs
 // the query once and is captured, and every iteration restores that
 // snapshot onto a sibling machine. This is the cost a session pays to
-// come back from a snapshot blob (engine.Pool.ResumeDyn), and what a
+// come back from a snapshot blob (engine.Pool.ResumeGoal), and what a
 // parked session spilled to a blob would pay to resume. The ratio to
 // BenchmarkHostWarmBoot is the speedup recorded in BENCH_10.json.
 func BenchmarkHostWarmRestore(b *testing.B) {

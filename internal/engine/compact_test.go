@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/dyndb"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/reader"
-	"repro/internal/snapshot"
 	"repro/internal/term"
 )
 
@@ -59,7 +59,7 @@ func deltaTop(t *testing.T, p *engine.Pool, db *dyndb.DB, goal string) ([]byte, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := snapshot.Decode(blob)
+	st, err := machine.DecodeState(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func churnClient(pool *engine.Pool, dbs []*dyndb.DB, goal term.Term, client, cli
 
 // TestTenantSuspendAcrossCompaction: a session parked before a
 // compacting mutation is stale once the tail compacts — its code
-// addresses now name other blocks — and ResumeDyn refuses it with
+// addresses now name other blocks — and ResumeGoal refuses it with
 // ErrStaleDelta. A session parked after the compaction resumes on a
 // fresh pool and continues byte-identically: the same solutions with
 // the same simulated counters as an enumeration never suspended.
@@ -230,7 +230,7 @@ func TestTenantSuspendAcrossCompaction(t *testing.T) {
 		}
 		next, nextTop := deltaTop(t, pool, db, goal)
 		if compacted = nextTop < top; compacted {
-			if _, err := pool.ResumeDyn(context.Background(), db, parse(t, goal), blob); !errors.Is(err, engine.ErrStaleDelta) {
+			if _, err := pool.ResumeGoal(context.Background(), db, goalOf(t, db, parse(t, goal)), blob); !errors.Is(err, engine.ErrStaleDelta) {
 				t.Fatalf("resume across a compaction: %v, want ErrStaleDelta", err)
 			}
 		}
@@ -266,9 +266,9 @@ func TestTenantSuspendAcrossCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := fresh().ResumeDyn(context.Background(), db, parse(t, goal), blob)
+		r, err := fresh().ResumeGoal(context.Background(), db, goalOf(t, db, parse(t, goal)), blob)
 		if err != nil {
-			t.Fatalf("park=%d: ResumeDyn: %v", park, err)
+			t.Fatalf("park=%d: ResumeGoal: %v", park, err)
 		}
 		rest := enumerate(t, r)
 		r.Close()

@@ -20,7 +20,7 @@ import (
 //
 // The iteration protocol is the one core.Solutions uses:
 //
-//	s, err := pool.Begin(ctx, im, engine.WithBudget(100_000))
+//	s, err := pool.BeginGoal(ctx, db, goal, engine.WithBudget(100_000))
 //	for s.Next(ctx) {
 //	    use(s.Solution())
 //	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dyndb"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -17,13 +18,21 @@ member(X, [X|_]).
 member(X, [_|T]) :- member(X, T).
 `
 
+// seedGoal seeds a database with src and compiles goal over it: a
+// session is then leased with BeginGoal, the path kcmd serves.
+func seedGoal(t *testing.T, src, goal string) (*dyndb.DB, *engine.Goal) {
+	t.Helper()
+	db := seedDB(t, src)
+	return db, goalOf(t, db, parse(t, goal))
+}
+
 // TestSessionEnumeration: a pool session enumerates every solution in
 // clause order through Next, reports exhaustion, and returns its
 // machine to the pool on Close.
 func TestSessionEnumeration(t *testing.T) {
-	im := compileImage(t, memberSrc, "member(X, [1,2,3]).")
+	db, g := seedGoal(t, memberSrc, "member(X, [1,2,3])")
 	pool := engine.New(engine.WithPoolSize(1))
-	s, err := pool.Begin(context.Background(), im)
+	s, err := pool.BeginGoal(context.Background(), db, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +69,10 @@ func TestSessionEnumeration(t *testing.T) {
 // instead of erroring; repeated Next calls resume it to the very same
 // solutions an unbounded session yields.
 func TestSessionBudgetResume(t *testing.T) {
-	im := compileImage(t, nrevSrc+memberSrc,
-		"nrev([1,2,3,4,5,6,7,8], R), member(X, [a,b]).")
+	db, g := seedGoal(t, nrevSrc+memberSrc,
+		"nrev([1,2,3,4,5,6,7,8], R), member(X, [a,b])")
 	pool := engine.New(engine.WithPoolSize(1))
-	s, err := pool.Begin(context.Background(), im, engine.WithBudget(50))
+	s, err := pool.BeginGoal(context.Background(), db, g, engine.WithBudget(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +109,10 @@ func TestSessionBudgetResume(t *testing.T) {
 // as machine.ErrDeadline but leaves the session resumable — the next
 // Next call (with a live context) continues the search.
 func TestSessionDeadlineResumable(t *testing.T) {
-	im := compileImage(t, memberSrc+"slow(X) :- member(X, [1,2,3]), spin(200000).\nspin(0).\nspin(N) :- N > 0, M is N - 1, spin(M).\n",
-		"slow(X).")
+	db, g := seedGoal(t, memberSrc+"slow(X) :- member(X, [1,2,3]), spin(200000).\nspin(0).\nspin(N) :- N > 0, M is N - 1, spin(M).\n",
+		"slow(X)")
 	pool := engine.New(engine.WithPoolSize(1))
-	s, err := pool.Begin(context.Background(), im)
+	s, err := pool.BeginGoal(context.Background(), db, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +138,9 @@ func TestSessionDeadlineResumable(t *testing.T) {
 // TestSessionSetBudget: the per-slice budget can be replaced between
 // Next calls (each network request carries its own).
 func TestSessionSetBudget(t *testing.T) {
-	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5,6,7,8,9,10], R).")
+	db, g := seedGoal(t, nrevSrc, "nrev([1,2,3,4,5,6,7,8,9,10], R)")
 	pool := engine.New(engine.WithPoolSize(1))
-	s, err := pool.Begin(context.Background(), im, engine.WithBudget(10))
+	s, err := pool.BeginGoal(context.Background(), db, g, engine.WithBudget(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestSessionSetBudget(t *testing.T) {
 // configuration and the pool size, and two concurrent sessions build
 // the full complement.
 func TestPoolOptions(t *testing.T) {
-	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5], R).")
+	db, g := seedGoal(t, nrevSrc, "nrev([1,2,3,4,5], R)")
 	pool := engine.New(engine.WithConfig(machine.Config{}), engine.WithPoolSize(2))
 	if pool.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", pool.Size())
@@ -160,7 +169,7 @@ func TestPoolOptions(t *testing.T) {
 	ctx := context.Background()
 	var held []*engine.Session
 	for i := 0; i < 2; i++ {
-		s, err := pool.Begin(ctx, im)
+		s, err := pool.BeginGoal(ctx, db, g)
 		if err != nil {
 			t.Fatal(err)
 		}

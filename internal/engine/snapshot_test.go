@@ -17,7 +17,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/mmu"
-	"repro/internal/snapshot"
 	"repro/internal/term"
 )
 
@@ -94,9 +93,9 @@ func neverParked(t *testing.T, db *dyndb.DB, goal term.Term) ([]solutionTrace, m
 // rest of ref with the same counters, and to finish on refFinal's.
 func resumeMatches(t *testing.T, db *dyndb.DB, goal term.Term, blob []byte, park int, ref []solutionTrace, refFinal machine.Result) {
 	t.Helper()
-	r, err := engine.New(engine.WithPoolSize(1)).ResumeDyn(context.Background(), db, goal, blob)
+	r, err := engine.New(engine.WithPoolSize(1)).ResumeGoal(context.Background(), db, goalOf(t, db, goal), blob)
 	if err != nil {
-		t.Fatalf("park=%d: ResumeDyn: %v", park, err)
+		t.Fatalf("park=%d: ResumeGoal: %v", park, err)
 	}
 	if r.Delivered() != park {
 		t.Fatalf("park=%d: Delivered()=%d after resume", park, r.Delivered())
@@ -172,7 +171,7 @@ func TestSuspendBudgetSuspended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := pool.ResumeDyn(context.Background(), db, goal, blob, engine.WithBudget(10_000_000))
+	r, err := pool.ResumeGoal(context.Background(), db, goalOf(t, db, goal), blob, engine.WithBudget(10_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +230,7 @@ func TestSuspendResumeErrors(t *testing.T) {
 	}
 
 	// Resuming as a different goal is refused by the image hash.
-	if _, err := pool.ResumeDyn(ctx, db, other, blob); !errors.Is(err, machine.ErrImageMismatch) {
+	if _, err := pool.ResumeGoal(ctx, db, goalOf(t, db, other), blob); !errors.Is(err, machine.ErrImageMismatch) {
 		t.Fatalf("cross-goal resume: %v, want ErrImageMismatch", err)
 	}
 
@@ -246,25 +245,26 @@ func TestSuspendResumeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SessState = 1
-	if _, err := pool.ResumeDyn(ctx, db, goal, snapshot.Encode(st)); !errors.Is(err, machine.ErrImageMismatch) {
-		t.Fatalf("no-delta blob via ResumeDyn: %v, want ErrImageMismatch", err)
+	if _, err := pool.ResumeGoal(ctx, db, goalOf(t, db, goal), st.Encode()); !errors.Is(err, machine.ErrImageMismatch) {
+		t.Fatalf("no-delta blob via ResumeGoal: %v, want ErrImageMismatch", err)
 	}
 
-	// A bare machine capture (no session block) is not resumable.
+	// A blob with no session phase is inconsistent state: Capture always
+	// writes the phase of the machine it captured.
 	if _, err := runToHalt(m, mustEntry(t, im)); err != nil {
 		t.Fatal(err)
 	}
-	bare, err := m.CaptureBlob()
+	st, err = m.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.ResumeDyn(ctx, db, goal, bare); !errors.Is(err, engine.ErrNoSession) {
-		t.Fatalf("bare capture resume: %v, want ErrNoSession", err)
+	st.SessState = 0
+	if _, err := pool.ResumeGoal(ctx, db, goalOf(t, db, goal), st.Encode()); !errors.Is(err, machine.ErrBadSnapshot) {
+		t.Fatalf("phaseless blob resume: %v, want ErrBadSnapshot", err)
 	}
 
-	// Garbage bytes surface the snapshot package's typed errors.
-	if _, err := pool.ResumeDyn(ctx, db, goal, blob[:10]); err == nil {
+	// Garbage bytes surface the codec's typed errors.
+	if _, err := pool.ResumeGoal(ctx, db, goalOf(t, db, goal), blob[:10]); err == nil {
 		t.Fatal("truncated blob accepted")
 	}
 
@@ -351,11 +351,11 @@ func TestResumeRefusesPhaseMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := snapshot.Decode(golden)
+	st, err := machine.DecodeState(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snapshot.Encode(st), golden) {
+	if !bytes.Equal(st.Encode(), golden) {
 		t.Fatal("golden blob does not re-encode to its own bytes")
 	}
 	if st.SessState != 2 || !st.Halted || st.Failed {
@@ -363,14 +363,17 @@ func TestResumeRefusesPhaseMismatch(t *testing.T) {
 			st.SessState, st.Halted, st.Failed)
 	}
 	st.SessState = 1
-	mismatched := snapshot.Encode(st)
+	mismatched := st.Encode()
 
 	db := seedDB(t, nrevSrc+memberSrc)
 	pool := engine.New(engine.WithPoolSize(1))
-	if _, err := pool.ResumeDyn(ctx, db, goal, mismatched); !errors.Is(err, machine.ErrBadSnapshot) {
+	if _, err := pool.ResumeGoal(ctx, db, goalOf(t, db, goal), mismatched); !errors.Is(err, machine.ErrBadSnapshot) {
 		t.Fatalf("phase-mismatched blob: %v, want ErrBadSnapshot", err)
 	}
-	s, err := pool.ResumeDyn(ctx, db, goal, golden)
+	if built := pool.Stats().Built; built != 0 {
+		t.Fatalf("phase-mismatched blob leased a machine: built=%d", built)
+	}
+	s, err := pool.ResumeGoal(ctx, db, goalOf(t, db, goal), golden)
 	if err != nil {
 		t.Fatalf("unmodified blob: %v", err)
 	}

@@ -120,6 +120,23 @@ func (l *lease) load(db *dyndb.DB, g *Goal) (*asm.Image, error) {
 	return qim, nil
 }
 
+// leaseGoal is the lease step BeginGoal and ResumeGoal share: it
+// acquires a pooled machine for db's base image and loads g's block
+// over db's current view, returning the machine to the pool if the
+// load fails.
+func (p *Pool) leaseGoal(ctx context.Context, db *dyndb.DB, g *Goal) (*lease, *asm.Image, error) {
+	l, err := p.acquire(ctx, db.Image(), db)
+	if err != nil {
+		return nil, nil, err
+	}
+	qim, err := l.load(db, g)
+	if err != nil {
+		p.release(l)
+		return nil, nil, err
+	}
+	return l, qim, nil
+}
+
 // BeginGoal leases a pooled machine for one query of g over db: db's
 // delta is installed over the shared base image and g's block loaded
 // above it. The returned session behaves exactly like Begin's —
@@ -131,13 +148,8 @@ func (p *Pool) BeginGoal(ctx context.Context, db *dyndb.DB, g *Goal, options ...
 	for _, opt := range options {
 		opt(&o)
 	}
-	l, err := p.acquire(ctx, db.Image(), db)
+	l, qim, err := p.leaseGoal(ctx, db, g)
 	if err != nil {
-		return nil, err
-	}
-	qim, err := l.load(db, g)
-	if err != nil {
-		p.release(l)
 		return nil, err
 	}
 	l.m.Begin(qim.Entries[compiler.QueryPI])

@@ -54,6 +54,17 @@ func parse(t testing.TB, src string) term.Term {
 	return tm
 }
 
+// goalOf compiles goal against db's symbol table, as kcmd's goal cache
+// does on a goal text's first sight.
+func goalOf(t testing.TB, db *dyndb.DB, goal term.Term) *engine.Goal {
+	t.Helper()
+	g, err := engine.CompileGoal(db.Syms(), goal)
+	if err != nil {
+		t.Fatalf("compile %v: %v", goal, err)
+	}
+	return g
+}
+
 // collect enumerates every solution of goal for the tenant and
 // renders X bindings.
 func collect(t testing.TB, p *engine.Pool, db *dyndb.DB, goal string) []string {
@@ -189,9 +200,9 @@ func TestTenantSuspendResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := pool.ResumeDyn(context.Background(), db, goal, blob)
+	r, err := pool.ResumeGoal(context.Background(), db, goalOf(t, db, goal), blob)
 	if err != nil {
-		t.Fatalf("ResumeDyn: %v", err)
+		t.Fatalf("ResumeGoal: %v", err)
 	}
 	var rest []string
 	for r.Next(context.Background()) {
@@ -218,7 +229,7 @@ func TestTenantSuspendResume(t *testing.T) {
 	if _, err := db.Assertz(parse(t, "color(cyan)")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.ResumeDyn(context.Background(), db, goal, stale); !errors.Is(err, engine.ErrStaleDelta) {
+	if _, err := pool.ResumeGoal(context.Background(), db, goalOf(t, db, goal), stale); !errors.Is(err, engine.ErrStaleDelta) {
 		t.Fatalf("resume after assert: %v, want ErrStaleDelta", err)
 	}
 	// Roll the predicate back to the exact clause set the blob was
@@ -227,7 +238,7 @@ func TestTenantSuspendResume(t *testing.T) {
 	if _, err := db.Reload(colorPI, parked); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.ResumeDyn(context.Background(), db, goal, stale); !errors.Is(err, engine.ErrStaleDelta) {
+	if _, err := pool.ResumeGoal(context.Background(), db, goalOf(t, db, goal), stale); !errors.Is(err, engine.ErrStaleDelta) {
 		t.Fatalf("resume after rollback-by-reload: %v, want ErrStaleDelta", err)
 	}
 	// The database itself must still be healthy after every refusal.

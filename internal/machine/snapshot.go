@@ -1,5 +1,5 @@
-// Machine snapshot and restore: the producer and consumer of
-// internal/snapshot blobs. Capture serializes everything the
+// Machine snapshot and restore: the producer and consumer of the
+// parked-session blob (State, blob.go). Capture records everything the
 // simulation can observe — registers, the live stack ranges, the
 // entire memory system (cache residency and dirtiness, page tables,
 // the frame-allocation frontier, the DRAM open row) and every
@@ -14,8 +14,10 @@
 // the restoring side is expected to have reconstructed it (same
 // program compile, same tenant delta) and the hash proves it did.
 //
-// Host-side derived state — predecode residency and the pushdown
-// list — is NOT serialized. Restore re-derives or invalidates it:
+// Host-side derived state — predecode residency, the pushdown list,
+// profiler shadow stacks — is NOT serialized: it only affects host
+// wall-clock, and carrying it would tie a blob to one host build.
+// Restore re-derives or invalidates it:
 // predecode residency flags are cleared (they are claims about the
 // target's code cache, which Restore just replaced) and the pdl is
 // emptied (unify resets it on entry, so its content between
@@ -30,7 +32,6 @@ import (
 	"repro/internal/kcmisa"
 	"repro/internal/mem"
 	"repro/internal/mmu"
-	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/word"
 )
@@ -49,8 +50,10 @@ var (
 	// settings) — restoring it could not be cycle-accurate.
 	ErrConfigMismatch = errors.New("machine: snapshot configuration mismatch")
 	// ErrBadSnapshot reports a structurally valid blob whose state is
-	// inconsistent with the machine it is being restored onto (ranges
-	// outside zones, wrong register count, uncovered code pages).
+	// inconsistent: with the machine it is being restored onto (ranges
+	// outside zones, wrong register count, uncovered code pages), or
+	// with itself (a session phase its halted/failed flags disagree
+	// with, or none).
 	ErrBadSnapshot = errors.New("machine: snapshot state inconsistent")
 )
 
@@ -141,15 +144,16 @@ func (m *Machine) peekRange(z word.Zone, base, top uint32) []word.Word {
 	return ws
 }
 
-// Capture serializes the machine's complete simulated state. The
-// machine must be at an instruction boundary (freshly booted, budget-
-// suspended, or halted — which is where every caller of the session
-// API naturally sits) and must not hold a pending fault.
-func (m *Machine) Capture() (*snapshot.State, error) {
+// Capture records the machine's complete simulated state, with the
+// session phase its halted/failed flags put it in. The machine must be
+// at an instruction boundary (freshly booted, budget-suspended, or
+// halted — which is where every caller of the session API naturally
+// sits) and must not hold a pending fault.
+func (m *Machine) Capture() (*State, error) {
 	if m.err != nil {
 		return nil, fmt.Errorf("%w: machine holds fault: %v", ErrNotCapturable, m.err)
 	}
-	s := &snapshot.State{
+	s := &State{
 		ConfigHash: m.configFingerprint(),
 		ImageHash:  m.ImageHash(),
 		CodeTop:    m.codeTop,
@@ -164,6 +168,7 @@ func (m *Machine) Capture() (*snapshot.State, error) {
 		BLTOP:      m.bLTOP,
 		Halted:     m.halted, Failed: m.failed,
 		GCRetryAddr: m.gcRetryAddr, GCRetryInstr: m.gcRetryInstr,
+		SessState: sessPhase(m.halted, m.failed),
 	}
 
 	s.LocalTop = m.captureLocalTop()
@@ -180,14 +185,7 @@ func (m *Machine) Capture() (*snapshot.State, error) {
 	s.FrameNext = m.dmmu.Frames().Next()
 	s.OpenRow, s.OpenRowOK = m.phys.OpenRow()
 
-	s.Counters = statsToCounters(&m.stats)
-	s.GC = snapshot.GCCounters{
-		Collections: m.gcStats.Collections,
-		LiveWords:   m.gcStats.LiveWords,
-		FreedWords:  m.gcStats.FreedWords,
-		TrailDrops:  m.gcStats.TrailDrops,
-		Cycles:      m.gcStats.Cycles,
-	}
+	s.Stats, s.GC = m.stats, m.gcStats
 	s.DCache = m.dcache.Stats()
 	s.CCache = m.icache.Stats()
 	s.DataMMU = m.dmmu.Stats()
@@ -197,19 +195,10 @@ func (m *Machine) Capture() (*snapshot.State, error) {
 	return s, nil
 }
 
-// CaptureBlob is Capture followed by snapshot.Encode.
-func (m *Machine) CaptureBlob() ([]byte, error) {
-	s, err := m.Capture()
-	if err != nil {
-		return nil, err
-	}
-	return snapshot.Encode(s), nil
-}
-
 // validateRestore checks a decoded snapshot against this machine
 // before anything is mutated, so a rejected restore leaves the target
 // untouched.
-func (m *Machine) validateRestore(s *snapshot.State) error {
+func (m *Machine) validateRestore(s *State) error {
 	if s.ConfigHash != m.configFingerprint() {
 		return fmt.Errorf("%w: blob fingerprint %#x, machine %#x", ErrConfigMismatch, s.ConfigHash, m.configFingerprint())
 	}
@@ -272,7 +261,7 @@ func (m *Machine) validateRestore(s *snapshot.State) error {
 // residency is cleared (Restore replaced the code cache contents it
 // described), the pushdown list is emptied, and a KReset trace event
 // tells any attached hook to clear its own shadow state.
-func (m *Machine) Restore(s *snapshot.State) error {
+func (m *Machine) Restore(s *State) error {
 	if err := m.validateRestore(s); err != nil {
 		return err
 	}
@@ -302,14 +291,7 @@ func (m *Machine) Restore(s *snapshot.State) error {
 	m.cmmu.SetStats(s.CodeMMU)
 	m.phys.SetStats(mem.Stats{Reads: s.MemReads, Writes: s.MemWrite, PageHits: s.MemPageH})
 	m.phys.SetOpenRow(s.OpenRow, s.OpenRowOK)
-	m.stats = countersToStats(&s.Counters)
-	m.gcStats = GCStats{
-		Collections: s.GC.Collections,
-		LiveWords:   s.GC.LiveWords,
-		FreedWords:  s.GC.FreedWords,
-		TrailDrops:  s.GC.TrailDrops,
-		Cycles:      s.GC.Cycles,
-	}
+	m.stats, m.gcStats = s.Stats, s.GC
 
 	// Machine registers.
 	copy(m.regs[:], s.Regs)
@@ -339,15 +321,6 @@ func (m *Machine) Restore(s *snapshot.State) error {
 	return nil
 }
 
-// RestoreBlob is snapshot.Decode followed by Restore.
-func (m *Machine) RestoreBlob(b []byte) error {
-	s, err := snapshot.Decode(b)
-	if err != nil {
-		return err
-	}
-	return m.Restore(s)
-}
-
 // pokeRange writes a live range into physical memory through the
 // (already restored) data MMU, untimed. Unmapped pages are skipped:
 // their words live only in the restored cache lines, exactly as on the
@@ -357,49 +330,5 @@ func (m *Machine) pokeRange(base uint32, ws []word.Word) {
 		if pa, ok := m.dmmu.Peek(base + uint32(i)); ok {
 			m.phys.Poke(pa, w)
 		}
-	}
-}
-
-func statsToCounters(st *Stats) snapshot.Counters {
-	return snapshot.Counters{
-		NsPerCycle:   st.NsPerCycle,
-		Cycles:       st.Cycles,
-		Instrs:       st.Instrs,
-		Inferences:   st.Inferences,
-		DerefSteps:   st.DerefSteps,
-		UnifyNodes:   st.UnifyNodes,
-		TrailChecks:  st.TrailChecks,
-		TrailPushes:  st.TrailPushes,
-		ShallowTries: st.ShallowTries,
-		ShallowFails: st.ShallowFails,
-		DeepFails:    st.DeepFails,
-		ChoicePoints: st.ChoicePoints,
-		NeckUpdates:  st.NeckUpdates,
-		NeckDet:      st.NeckDet,
-		EnvAllocs:    st.EnvAllocs,
-		Builtins:     st.Builtins,
-		CPWords:      st.CPWords,
-	}
-}
-
-func countersToStats(c *snapshot.Counters) Stats {
-	return Stats{
-		NsPerCycle:   c.NsPerCycle,
-		Cycles:       c.Cycles,
-		Instrs:       c.Instrs,
-		Inferences:   c.Inferences,
-		DerefSteps:   c.DerefSteps,
-		UnifyNodes:   c.UnifyNodes,
-		TrailChecks:  c.TrailChecks,
-		TrailPushes:  c.TrailPushes,
-		ShallowTries: c.ShallowTries,
-		ShallowFails: c.ShallowFails,
-		DeepFails:    c.DeepFails,
-		ChoicePoints: c.ChoicePoints,
-		NeckUpdates:  c.NeckUpdates,
-		NeckDet:      c.NeckDet,
-		EnvAllocs:    c.EnvAllocs,
-		Builtins:     c.Builtins,
-		CPWords:      c.CPWords,
 	}
 }

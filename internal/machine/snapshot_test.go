@@ -9,7 +9,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/reader"
-	"repro/internal/snapshot"
 	"repro/internal/term"
 )
 
@@ -37,6 +36,25 @@ func buildImageF(tb testing.TB, src, query string) *asm.Image {
 		tb.Fatal(err)
 	}
 	return im
+}
+
+// captureBlob is Capture followed by Encode: the bytes a parked
+// session carries.
+func captureBlob(m *Machine) ([]byte, error) {
+	s, err := m.Capture()
+	if err != nil {
+		return nil, err
+	}
+	return s.Encode(), nil
+}
+
+// restoreBlob is DecodeState followed by Restore.
+func restoreBlob(m *Machine, b []byte) error {
+	s, err := DecodeState(b)
+	if err != nil {
+		return err
+	}
+	return m.Restore(s)
 }
 
 // compareResults asserts that two machines report byte-identical
@@ -94,7 +112,7 @@ func TestSnapshotContinuationIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := src1.CaptureBlob()
+		blob, err := captureBlob(src1)
 		if err != nil {
 			t.Fatalf("budget %d: capture: %v", budget, err)
 		}
@@ -108,7 +126,7 @@ func TestSnapshotContinuationIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst.Reset()
-		if err := dst.RestoreBlob(blob); err != nil {
+		if err := restoreBlob(dst, blob); err != nil {
 			t.Fatalf("budget %d: restore: %v", budget, err)
 		}
 		for st != Halted {
@@ -161,7 +179,7 @@ func TestSnapshotRedoEnumeration(t *testing.T) {
 			t.Fatalf("solution %d: %v %v", i, st, err)
 		}
 	}
-	blob, err := src.CaptureBlob()
+	blob, err := captureBlob(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +188,7 @@ func TestSnapshotRedoEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.RestoreBlob(blob); err != nil {
+	if err := restoreBlob(dst, blob); err != nil {
 		t.Fatal(err)
 	}
 	// The restored machine sits where the source did: solution 2 just
@@ -220,7 +238,7 @@ func TestSnapshotUnderTinyHeapGC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := m1.CaptureBlob()
+		blob, err := captureBlob(m1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +246,7 @@ func TestSnapshotUnderTinyHeapGC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m2.RestoreBlob(blob); err != nil {
+		if err := restoreBlob(m2, blob); err != nil {
 			t.Fatal(err)
 		}
 		for st != Halted {
@@ -258,7 +276,7 @@ func TestCaptureRestoreCaptureByteIdentical(t *testing.T) {
 	if _, err := src.RunFor(nil, 500); err != nil {
 		t.Fatal(err)
 	}
-	blob1, err := src.CaptureBlob()
+	blob1, err := captureBlob(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +285,10 @@ func TestCaptureRestoreCaptureByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.RestoreBlob(blob1); err != nil {
+	if err := restoreBlob(dst, blob1); err != nil {
 		t.Fatal(err)
 	}
-	blob2, err := dst.CaptureBlob()
+	blob2, err := captureBlob(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +297,7 @@ func TestCaptureRestoreCaptureByteIdentical(t *testing.T) {
 	}
 
 	// And the source can re-capture itself unchanged.
-	blob3, err := src.CaptureBlob()
+	blob3, err := captureBlob(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +322,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if _, err := src.RunFor(nil, 100); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := src.CaptureBlob()
+	blob, err := captureBlob(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +331,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.RestoreBlob(blob); !errors.Is(err, ErrImageMismatch) {
+	if err := restoreBlob(other, blob); !errors.Is(err, ErrImageMismatch) {
 		t.Fatalf("cross-image restore: %v, want ErrImageMismatch", err)
 	}
 
@@ -321,7 +339,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := diffCfg.RestoreBlob(blob); !errors.Is(err, ErrConfigMismatch) {
+	if err := restoreBlob(diffCfg, blob); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("cross-config restore: %v, want ErrConfigMismatch", err)
 	}
 
@@ -408,38 +426,8 @@ func TestResetClearsRegisterRoots(t *testing.T) {
 	}
 }
 
-// TestCountersMirrorsStats pins the serializer's exhaustive-inventory
-// property: snapshot.Counters must mirror machine.Stats field for
-// field, so adding a Stats field without extending the snapshot breaks
-// this test instead of silently dropping state.
-func TestCountersMirrorsStats(t *testing.T) {
-	st := reflect.TypeOf(Stats{})
-	ct := reflect.TypeOf(snapshot.Counters{})
-	if ct.NumField() != st.NumField() {
-		t.Fatalf("snapshot.Counters has %d fields, machine.Stats %d",
-			ct.NumField(), st.NumField())
-	}
-	for i := 0; i < st.NumField(); i++ {
-		sf, cf := st.Field(i), ct.Field(i)
-		if sf.Name != cf.Name || sf.Type != cf.Type {
-			t.Fatalf("field %d: machine.Stats has %s %v, snapshot.Counters has %s %v",
-				i, sf.Name, sf.Type, cf.Name, cf.Type)
-		}
-	}
-	gt := reflect.TypeOf(GCStats{})
-	gct := reflect.TypeOf(snapshot.GCCounters{})
-	if gct.NumField() != gt.NumField() {
-		t.Fatalf("snapshot.GCCounters has %d fields, machine.GCStats %d", gct.NumField(), gt.NumField())
-	}
-	for i := 0; i < gt.NumField(); i++ {
-		if gt.Field(i).Name != gct.Field(i).Name {
-			t.Fatalf("gc field %d: %s vs %s", i, gt.Field(i).Name, gct.Field(i).Name)
-		}
-	}
-}
-
 // FuzzRestoreBlob feeds truncated, bit-flipped and version-skewed
-// blobs to RestoreBlob: every corruption must be rejected with a typed
+// blobs to DecodeState and Restore: every corruption must be rejected with a typed
 // error — never a panic — and a rejected restore must leave the target
 // machine fully functional.
 func FuzzRestoreBlob(f *testing.F) {
@@ -453,7 +441,7 @@ func FuzzRestoreBlob(f *testing.F) {
 	if _, err := src.RunFor(nil, 300); err != nil {
 		f.Fatal(err)
 	}
-	blob, err := src.CaptureBlob()
+	blob, err := captureBlob(src)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -481,11 +469,11 @@ func FuzzRestoreBlob(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		err := target.RestoreBlob(data)
+		err := restoreBlob(target, data)
 		if err != nil {
 			for _, sentinel := range []error{
-				snapshot.ErrTruncated, snapshot.ErrChecksum, snapshot.ErrVersion,
-				snapshot.ErrMalformed, ErrImageMismatch, ErrConfigMismatch, ErrBadSnapshot,
+				ErrTruncated, ErrChecksum, ErrVersion,
+				ErrMalformed, ErrImageMismatch, ErrConfigMismatch, ErrBadSnapshot,
 			} {
 				if errors.Is(err, sentinel) {
 					goto typed

@@ -205,20 +205,22 @@ func (s *Server) evictLoop() {
 // machine stays leased. With a state directory each session is parked
 // to disk (the client resumes after restart with the session id as
 // the handle); otherwise it is closed, and a later request for it gets
-// a 410. ctx bounds the wait for in-flight requests; safe to call once.
+// a 410. A session that fails to park is closed as drained, and its
+// failure is returned, joined with the HTTP shutdown's error: the
+// session is lost. ctx bounds the wait for in-flight requests; safe to
+// call once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	var err error
+	var errs []error
 	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
+		errs = append(errs, s.httpSrv.Shutdown(ctx))
 	}
 	for _, e := range s.sessions.shut() {
 		e.ops.Lock()
 		if !e.done && s.cfg.StateDir != "" {
-			// A failed write ends e without a handle, and a refusal
-			// leaves it to the close below; no request is left to
-			// report either to.
-			_ = s.park(e)
+			if err := s.park(e, reasonDrained); err != nil {
+				errs = append(errs, fmt.Errorf("session %s not parked: %w", e.id, err))
+			}
 		}
 		if !e.done {
 			s.end(e, reasonDrained, false)
@@ -227,7 +229,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	close(s.janitor)
 	s.wg.Wait()
-	return err
+	return errors.Join(errs...)
 }
 
 // resolveProgram maps a request's program name (possibly empty, when

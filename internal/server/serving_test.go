@@ -12,7 +12,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/snapshot"
 	"repro/internal/wire"
 )
 
@@ -189,8 +188,7 @@ func TestResumeRefusesWholeImageBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SessState = 1 // the session block a whole-image Suspend wrote
-	blob := snapshot.Encode(st)
+	blob := st.Encode()
 	const handle = "0123456789abcdef"
 	if err := srv.writeEnvelope(handle, envelope{Program: "lists", Goal: longGoal, Blob: blob}); err != nil {
 		t.Fatal(err)

@@ -118,7 +118,7 @@ func (s *Server) runSuspend(req wire.SuspendRequest) (wire.Reply, int) {
 		return rep, code
 	}
 	defer e.ops.Unlock()
-	if err := s.park(e); err != nil {
+	if err := s.park(e, reasonNone); err != nil {
 		if !e.done {
 			// Suspend refused: the enumeration already ended. The
 			// session stays in the table for a final next/cancel.
@@ -133,10 +133,11 @@ func (s *Server) runSuspend(req wire.SuspendRequest) (wire.Reply, int) {
 // envelope under the session id and ends the entry as parked. A
 // session that refuses to suspend stays in the table, and park returns
 // the refusal. A failed write still ends the entry, since Suspend has
-// released the machine, but with no reason: no tombstone then offers a
-// handle that /v1/resume could not find. The caller holds e.ops and
-// has seen e.done unset.
-func (s *Server) park(e *entry) error {
+// released the machine, with reason lost: reasonNone from /v1/suspend,
+// so no tombstone offers a handle that /v1/resume could not find, and
+// reasonDrained from the drain. The caller holds e.ops and has seen
+// e.done unset.
+func (s *Server) park(e *entry, lost doneReason) error {
 	blob, err := e.sess.Suspend()
 	if err != nil {
 		return err
@@ -146,7 +147,7 @@ func (s *Server) park(e *entry) error {
 	})
 	reason := reasonParked
 	if err != nil {
-		reason = reasonNone
+		reason = lost
 	}
 	s.end(e, reason, false)
 	return err
@@ -181,17 +182,17 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 	runCtx, cancel := s.runCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
-	_, db, err := s.database(env.Program, env.Tenant)
+	program, db, err := s.database(env.Program, env.Tenant)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
 		return
 	}
-	goal, err := parseGoal(env.Goal)
+	g, err := s.goal(program, db, env.Goal)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
 		return
 	}
-	sess, err := s.pool.ResumeDyn(runCtx, db, goal, env.Blob, engine.WithBudget(s.clampBudget(req.Budget)))
+	sess, err := s.pool.ResumeGoal(runCtx, db, g, env.Blob, engine.WithBudget(s.clampBudget(req.Budget)))
 	if err != nil {
 		writeJSON(w, resumeStatus(err), errorReply(err))
 		return

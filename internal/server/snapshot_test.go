@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -367,6 +368,39 @@ func TestSuspendWriteFailureLeavesNoHandle(t *testing.T) {
 	}
 	if st.Sessions.Parked != 0 || st.Pool.InUse != 0 {
 		t.Fatalf("after a failed suspend: sessions %+v, pool %+v", st.Sessions, st.Pool)
+	}
+}
+
+// TestDrainReportsParkFailure: when the drain cannot write a parked
+// session to the state directory, the session is lost, and Drain says
+// so instead of returning nil. The session is still ended — counted as
+// drained, its machine back in the pool.
+func TestDrainReportsParkFailure(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "state")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	srv, c := startServer(t, Config{PoolSize: 1, StateDir: notDir})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	rep, err := c.Query(ctx, wire.QueryRequest{Goal: longGoal, Budget: 100})
+	if err != nil || rep.Status != wire.StatusSuspended {
+		t.Fatalf("park: %+v %v", rep, err)
+	}
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	err = srv.Drain(dctx)
+	if err == nil || !strings.Contains(err.Error(), rep.Session) {
+		t.Fatalf("drain into a regular file: %v, want an error naming session %s", err, rep.Session)
+	}
+	srv.sessions.mu.Lock()
+	drained, parked := srv.sessions.drained, srv.sessions.parked
+	srv.sessions.mu.Unlock()
+	if drained != 1 || parked != 0 {
+		t.Fatalf("after a failed drain park: drained=%d parked=%d, want 1 and 0", drained, parked)
+	}
+	if ps := srv.pool.Stats(); ps.InUse != 0 {
+		t.Fatalf("machines leaked across a failed drain park: %+v", ps)
 	}
 }
 

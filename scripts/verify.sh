@@ -59,7 +59,7 @@ echo '== stream writer and stream race tests (enumerator and writer goroutines s
 gotest -race -count=5 -run 'TestStream' ./internal/server/
 
 echo '== session lifecycle (next, cancel, eviction, suspend and drain race to end one parked session; each ending is typed and strands no machine)'
-gotest -race -count=2 -run 'TestEvictSuspendCancelRace|TestConcurrentNextAndCancel|TestNextCancelSameSession|TestDoneReasonsTyped|TestDrainClosesParkedSessions|TestSuspendWriteFailureLeavesNoHandle' ./internal/server/
+gotest -race -count=2 -run 'TestEvictSuspendCancelRace|TestConcurrentNextAndCancel|TestNextCancelSameSession|TestDoneReasonsTyped|TestDrainClosesParkedSessions|TestSuspendWriteFailureLeavesNoHandle|TestDrainReportsParkFailure' ./internal/server/
 
 echo '== differential gates (assert-built == statically-compiled, incl. warm counters; served goal block == whole image, incl. cold and warm counters)'
 gotest -count=1 -run 'TestDynamicDifferential|TestServingDifferential' . ./internal/machine/ ./internal/server/
@@ -68,9 +68,9 @@ echo '== dyndb fuzz smoke (assert/retract vs model, malformed-clause rejection; 
 gotest -count=1 -run '^$' -fuzz 'FuzzAssertRetract' -fuzztime 5s ./internal/dyndb/
 gotest -count=1 -run '^$' -fuzz 'FuzzMalformedClause' -fuzztime 5s ./internal/dyndb/
 
-echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process, across tail compaction and across restart; the committed parked blob and the config fingerprint must not drift, so blobs older daemons parked still resume)'
-gotest -count=1 -run 'TestSuspendResumeByteIdentical|TestTenantSuspendAcrossCompaction|TestParkedBlobGolden' ./internal/engine/
-gotest -count=1 -run 'TestConfigFingerprintPinned' ./internal/machine/
+echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process, across tail compaction and across restart; the committed parked blob and the config fingerprint must not drift, so blobs older daemons parked still resume; the blob codec carries every counter and rejects every corruption typed)'
+gotest -count=1 -run 'TestSuspendResumeByteIdentical|TestTenantSuspendAcrossCompaction|TestParkedBlobGolden|TestResumeRefusesPhaseMismatch' ./internal/engine/
+gotest -count=1 -run 'TestConfigFingerprintPinned|TestBlobCarriesEveryCounter|TestDecodeRefusesPhaseMismatch|TestRoundTrip|TestTruncationSweep|TestBitFlips|TestVersionSkew|TestMalformed|TestValidateRejectsInsaneSections' ./internal/machine/
 gotest -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDisk' ./internal/server/
 
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
